@@ -27,7 +27,6 @@ from eegfx.signals import (  # noqa: F401
 )
 from eegfx.time_features import (  # noqa: F401
     StatSummary,
-    TemplateConfig,
     approximate_entropy,
     average_power,
     box_counting_fd,
@@ -50,6 +49,7 @@ from eegfx.time_features import (  # noqa: F401
     shannon_entropy,
     stat_summary,
     svd_entropy,
+    template_entropies,
     weighted_permutation_entropy,
     zero_crossings,
 )

@@ -45,8 +45,8 @@ QUADRATIC_SUITE: Mapping[str, Callable[[np.ndarray], float]] = {
 }
 
 # Linear features need lengths where per-call work dwarfs call overhead
-# but one batch still fits the measurement budget; quadratic ones are
-# already >10 ms per call at 1024.
+# but one batch still fits the measurement budget; quadratic ones already
+# take about 1 ms per call at 1024, far above call overhead.
 LINEAR_SIZES = (16384, 32768, 65536)
 QUADRATIC_SIZES = (1024, 2048, 4096)
 

@@ -110,30 +110,6 @@ FEATURE_CATALOG: frozenset = frozenset(
 )
 
 
-def _template_entropies(x: np.ndarray) -> tuple[float, float]:
-    """ApEn and SampEn (m=2, r=0.2*SD) off one pair of match-count passes.
-
-    Matches the standalone functions exactly; returns NaN where they
-    would raise (constant epoch, or no template pairs within r).
-    """
-    m = 2
-    r = 0.2 * float(x.std(ddof=1))
-    try:
-        tf._check_template_args(x, m, r)
-    except ValueError:
-        return math.nan, math.nan
-    counts_m = tf._match_counts(x, m, r)
-    counts_m1 = tf._match_counts(x, m + 1, r)
-    apen = float(
-        np.log(counts_m / counts_m.size).mean()
-        - np.log(counts_m1 / counts_m1.size).mean()
-    )
-    b = int(counts_m.sum()) - counts_m.size
-    a = int(counts_m1.sum()) - counts_m1.size
-    sampen = math.nan if a == 0 or b == 0 else math.log(b) - math.log(a)
-    return apen, sampen
-
-
 def _epoch_features(
     epoch: Epoch, names: tuple[str, ...], wavelet: str, levels: int
 ) -> dict[str, float]:
@@ -153,10 +129,16 @@ def _epoch_features(
         except ValueError:
             out[name] = math.nan
     if want & set(_HJORTH_FEATURES):
-        _, mobility, complexity = tf.hjorth(x)
-        out["Mobility"], out["Complexity"] = float(mobility), float(complexity)
+        try:
+            _, mobility, complexity = tf.hjorth(x)
+            out["Mobility"], out["Complexity"] = float(mobility), float(complexity)
+        except ValueError:
+            out["Mobility"] = out["Complexity"] = math.nan
     if want & set(_TEMPLATE_FEATURES):
-        out["ApEn"], out["SampEn"] = _template_entropies(x)
+        try:
+            out["ApEn"], out["SampEn"] = tf.template_entropies(x)
+        except ValueError:
+            out["ApEn"] = out["SampEn"] = math.nan
 
     psd_names = want & set(_PSD_FEATURES)
     peak_names = want & set(_PEAK_FEATURES)

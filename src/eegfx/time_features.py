@@ -4,6 +4,13 @@ Everything here is a pure function of a 1-D array, so the same operations
 apply unchanged to raw samples and to wavelet sub-band coefficients. Entropy
 conventions: natural log throughout, 0*ln(0) := 0, Chebyshev distance for
 template matching, and match tolerance is inclusive (distance <= r counts).
+
+ApEn and SampEn share one template-match count (``template_entropies``).
+It sorts the templates by their first sample, so only pairs whose first
+samples lie within r of each other are ever compared (Manis, Aktaruzzaman
+& Sassi, "Low computational cost for sample entropy", Entropy 20(1):61,
+2018). Every candidate is then checked with the same per-sample test,
+|x[i+k] - x[j+k]| <= r, so the counts are exact, not approximate.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "StatSummary",
-    "TemplateConfig",
     "approximate_entropy",
     "average_power",
     "box_counting_fd",
@@ -39,6 +45,7 @@ __all__ = [
     "shannon_entropy",
     "stat_summary",
     "svd_entropy",
+    "template_entropies",
     "weighted_permutation_entropy",
     "zero_crossings",
 ]
@@ -46,6 +53,16 @@ __all__ = [
 # Rows per block when tiling pairwise template distances; keeps the O(N^2)
 # work in large matrix ops without holding the full distance matrix.
 _BLOCK_ROWS = 128
+
+# Candidate pairs checked per chunk in template matching. Peak memory stays
+# at a few MB even when nearly every pair is a candidate (tie-heavy input),
+# and chunks this small stay in cache.
+_PAIR_BUDGET = 1 << 14
+
+# Widening of the first-sample search window, relative to max|x| + r. The
+# rounding in x + r and in |x[i] - x[j]| is within 2 eps of that, so no
+# pair the exact check accepts falls outside the window.
+_WINDOW_SLACK = 8.0 * np.finfo(np.float64).eps
 
 
 def _as_signal(x, min_len: int, name: str = "x") -> np.ndarray:
@@ -55,27 +72,6 @@ def _as_signal(x, min_len: int, name: str = "x") -> np.ndarray:
     if a.size < min_len:
         raise ValueError(f"{name} needs at least {min_len} samples, got {a.size}")
     return a
-
-
-@dataclass(frozen=True)
-class TemplateConfig:
-    """Template-matching parameters: window length m, tolerance r (signal
-    units), histogram bin count, and embedding delay."""
-
-    m: int = 2
-    r: float = 1.0
-    n_bins: int = 64
-    delay: int = 1
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if not self.r > 0:
-            raise ValueError("r must be > 0")
-        if self.n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
-        if self.delay < 1:
-            raise ValueError("delay must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -197,22 +193,88 @@ def _check_template_args(a: np.ndarray, m: int, r: float) -> None:
         raise ValueError("tolerance r must be > 0")
 
 
-def _match_counts(a: np.ndarray, length: int, r: float) -> np.ndarray:
-    """Per-template counts of Chebyshev matches (d <= r), self included.
+def _template_match_counts(
+    a: np.ndarray, m: int, r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-template Chebyshev match counts (d <= r, self included) at
+    lengths m and m+1, from one pass over candidate pairs.
 
-    Templates are every window ``a[i:i+length]``. Work is tiled in row
-    blocks so memory stays O(block * n_templates).
+    Templates of length m are sorted by their first sample. A pair can
+    match only if its first samples differ by at most r, so each sorted
+    template is compared with the templates after it up to first + r
+    (widened by ``_WINDOW_SLACK``); each unordered pair is visited once.
+    Every candidate is checked with |x[i+k] - x[j+k]| <= r for k < m, as a
+    full pairwise Chebyshev comparison would, and a match is credited to
+    both templates. The first N - m templates extend to length m+1, and an
+    m-matched pair of them matches at m+1 iff coordinate m is within r.
+    Candidates are taken in chunks of about ``_PAIR_BUDGET`` pairs, so
+    memory stays bounded while the O(N^2) worst case (ties) remains.
+    ``a`` must be finite, so that every template matches itself.
     """
-    windows = sliding_window_view(a, length)
-    n = windows.shape[0]
-    counts = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        blk = windows[lo : lo + _BLOCK_ROWS]
-        d = np.abs(blk[:, None, 0] - windows[None, :, 0])
-        for k in range(1, length):
-            np.maximum(d, np.abs(blk[:, None, k] - windows[None, :, k]), out=d)
-        counts[lo : lo + blk.shape[0]] = (d <= r).sum(axis=1)
-    return counts
+    n = a.size - m + 1
+    order = np.argsort(a[:n])
+    # coords[k] is sample k of each template, in sorted order; the NaN past
+    # the end fails every check, as the last template has no sample m
+    coords = np.append(a, np.nan)[order + np.arange(m + 1)[:, None]]
+    first = coords[0]
+    reach = r + _WINDOW_SLACK * (max(-first[0], first[-1]) + r)
+    stop = np.searchsorted(first, first + reach, side="right")
+    width = stop - np.arange(1, n + 1)  # row p's candidates are p+1 .. stop[p]-1
+    ends = np.cumsum(width)  # candidate pairs are numbered row by row
+    shift = stop - ends  # candidate t of row p is template t + shift[p]
+    sorted_m = np.ones(n, dtype=np.int64)  # self-matches
+    sorted_m1 = np.ones(n, dtype=np.int64)
+    lo = 0
+    while lo < n:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")), lo + 1)
+        w = width[lo:hi]
+        p = np.repeat(np.arange(lo, hi), w)
+        q = np.arange(done, int(ends[hi - 1])) + np.repeat(shift[lo:hi], w)
+        ok = np.abs(first[p] - first[q]) <= r
+        for c in coords[1:m]:
+            ok &= np.abs(c[p] - c[q]) <= r
+        p, q = p[ok], q[ok]
+        sorted_m += np.bincount(p, minlength=n) + np.bincount(q, minlength=n)
+        ok = np.abs(coords[m][p] - coords[m][q]) <= r
+        sorted_m1 += np.bincount(p[ok], minlength=n) + np.bincount(q[ok], minlength=n)
+        lo = hi
+    counts_m = np.empty_like(sorted_m)
+    counts_m[order] = sorted_m
+    counts_m1 = np.empty_like(sorted_m1)
+    counts_m1[order] = sorted_m1
+    return counts_m, counts_m1[:-1]
+
+
+def _phi(counts: np.ndarray) -> float:
+    return float(np.log(counts / counts.size).mean())
+
+
+def template_entropies(x, m: int = 2, r: float | None = None) -> tuple[float, float]:
+    """(ApEn, SampEn) from one shared template-match count.
+
+    Templates are the stride-1 windows of length m and m+1, compared under
+    Chebyshev distance <= r; r defaults to 0.2 * sample SD. ApEn is
+    phi(m) - phi(m+1), where phi(s) averages ln of the fraction of
+    length-s windows matching each window, itself included. SampEn is
+    ln(B / A) over ordered pairs i != j of matching windows, B at length
+    m and A at m+1, each length over its own full index range; it is NaN
+    when no (m+1)-pair matches. Raises on m < 1, N < m + 2, r <= 0 (a
+    constant signal under the default r) or a non-finite sample.
+    """
+    a = _as_signal(x, m + 2)
+    if r is None:
+        r = 0.2 * float(a.std(ddof=1))
+    _check_template_args(a, m, r)
+    if not np.isfinite(a).all():
+        raise ValueError("template matching needs finite samples")
+    counts_m, counts_m1 = _template_match_counts(a, m, r)
+    apen = _phi(counts_m) - _phi(counts_m1)
+    pairs_m = int(counts_m.sum()) - counts_m.size
+    pairs_m1 = int(counts_m1.sum()) - counts_m1.size
+    if pairs_m1 == 0:
+        return apen, math.nan
+    return apen, math.log(pairs_m) - math.log(pairs_m1)
 
 
 def approximate_entropy(x, m: int = 2, r: float | None = None) -> float:
@@ -221,18 +283,9 @@ def approximate_entropy(x, m: int = 2, r: float | None = None) -> float:
     phi(s) averages ln of the fraction of length-s windows within Chebyshev
     distance r of each window (the window itself always matches, so the
     fraction is never 0); result is phi(m) - phi(m+1). r defaults to
-    0.2 * sample SD.
+    0.2 * sample SD. See ``template_entropies``.
     """
-    a = _as_signal(x, m + 2)
-    if r is None:
-        r = 0.2 * float(a.std(ddof=1))
-    _check_template_args(a, m, r)
-
-    def phi(length: int) -> float:
-        counts = _match_counts(a, length, r)
-        return float(np.log(counts / counts.size).mean())
-
-    return phi(m) - phi(m + 1)
+    return template_entropies(x, m, r)[0]
 
 
 def sample_entropy(x, m: int = 2, r: float | None = None) -> float:
@@ -240,17 +293,13 @@ def sample_entropy(x, m: int = 2, r: float | None = None) -> float:
 
     Counts ordered template pairs i != j (no self-matches) under Chebyshev
     distance <= r, each window length over its own full index range. Raises
-    if no (m+1)-pair matches, where the statistic is undefined.
+    if no (m+1)-pair matches, where the statistic is undefined. See
+    ``template_entropies``.
     """
-    a = _as_signal(x, m + 2)
-    if r is None:
-        r = 0.2 * float(a.std(ddof=1))
-    _check_template_args(a, m, r)
-    matches_m = int(_match_counts(a, m, r).sum()) - (a.size - m + 1)
-    matches_m1 = int(_match_counts(a, m + 1, r).sum()) - (a.size - m)
-    if matches_m1 == 0:
+    sampen = template_entropies(x, m, r)[1]
+    if math.isnan(sampen):
         raise ValueError("sample entropy undefined: no template pair matches at m+1")
-    return math.log(matches_m) - math.log(matches_m1)
+    return sampen
 
 
 def _ordinal_patterns(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

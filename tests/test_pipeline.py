@@ -1,5 +1,6 @@
 """Extraction pipeline: column wiring, averaging, labels, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -122,6 +123,21 @@ class TestValues:
         assert table.column("MeanL")[0] == 0.0
         assert np.all(np.isfinite(table.column("SampEnR")))
         assert np.all(np.isfinite(table.column("IWMFR")))
+
+    def test_flat_stretch_gives_nan_cells_under_the_default_catalog(self):
+        # 6 s of silence on the first left channel: the three 4 s epochs
+        # inside it have no Hjorth, template or spectral features.
+        record = synth_record(SynthSpec(duration_s=20.0, seed=1))
+        data = record.data.copy()
+        data[0, int(6 * record.fs) : int(12 * record.fs)] = 0.0
+        table = extract(dataclasses.replace(record, data=data), RunConfig())
+        flat = np.isin(table.epoch_starts, (6.0, 7.0, 8.0))
+        for name in ("MobilityL", "ComplexityL", "ApEnL", "SampEnL"):
+            column = table.column(name)
+            assert np.all(np.isnan(column[flat]))
+            assert np.all(np.isfinite(column[~flat]))
+        assert np.all(np.isfinite(table.column("MobilityR")))
+        assert np.all(np.isfinite(table.column("MeanL")))
 
 
 class TestLabels:

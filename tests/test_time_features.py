@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eegfx.time_features import (
-    TemplateConfig,
     approximate_entropy,
     average_power,
     box_counting_fd,
@@ -516,22 +515,6 @@ class TestCrossingsExtrema:
 
     def test_zero_touch_is_not_crossing(self):
         assert zero_crossings([1.0, 0.0, 1.0]) == 0
-
-
-class TestTemplateConfig:
-    def test_defaults_valid(self):
-        cfg = TemplateConfig(m=2, r=0.5)
-        assert (cfg.m, cfg.r, cfg.n_bins, cfg.delay) == (2, 0.5, 64, 1)
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            TemplateConfig(m=0, r=1.0)
-        with pytest.raises(ValueError):
-            TemplateConfig(m=2, r=0.0)
-        with pytest.raises(ValueError):
-            TemplateConfig(m=2, r=1.0, n_bins=1)
-        with pytest.raises(ValueError):
-            TemplateConfig(m=2, r=1.0, delay=0)
 
 
 def test_all_features_finite_on_random_input():
