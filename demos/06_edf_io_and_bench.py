@@ -38,10 +38,12 @@ with tempfile.TemporaryDirectory() as tmp:
 # The bench harness times each feature on growing signals and fits a
 # log-log slope: the streaming features sit near 1 (linear), the
 # template entropies near 2 (quadratic).  Distinct signals per size
-# and best-of-rounds timing keep cache effects and scheduler noise out
-# of the exponent, and each feature's per-call floor (its time on a
-# 16-sample signal) is subtracted first, so fixed call overhead does
-# not pull the slope below the true exponent.
+# keep cache effects out of the exponent; each round times every size
+# back to back and fits its own slope, and the median over rounds is
+# reported, so a change of host speed cannot split the fit.  Each
+# feature's per-call floor (its time on a 16-sample signal) is
+# subtracted first, so fixed call overhead does not pull the slope
+# below the true exponent.
 
 # %%
 from eegfx import run_bench

@@ -3,13 +3,16 @@
 Subpackage map:
 
 - :mod:`eegfx.signals` — epochs, records, montage, segmentation
-- :mod:`eegfx.time_features` — time-domain feature catalog
+- :mod:`eegfx.time_features` — time-domain feature catalog, including
+  the shared ``moments`` kernel
 - :mod:`eegfx.freq_features` — Welch PSD and spectral features
-- :mod:`eegfx.wavelets` — DWT cascade, STFT, and sub-band features
-- :mod:`eegfx.evaluation` — KDE Bayes error, significance, detection metrics
+- :mod:`eegfx.wavelets` — DWT cascade and sub-band features
+- :mod:`eegfx.evaluation` — KDE Bayes error, significance, epoch detection metrics
 - :mod:`eegfx.cfs` — correlation-based feature selection
 - :mod:`eegfx.edf`, :mod:`eegfx.annotations`, :mod:`eegfx.synth` — I/O & synthesis
-- :mod:`eegfx.pipeline` — record -> feature table extraction
+- :mod:`eegfx.pipeline` — record -> feature table extraction through one
+  feature registry, with hemisphere means over montage sides
+- :mod:`eegfx.bench` — runtime-scaling slopes of feature functions
 - :mod:`eegfx.cli` — extract | evaluate | select | synth | bench
 """
 
@@ -21,7 +24,6 @@ from eegfx.signals import (  # noqa: F401
     EpochLabel,
     Montage,
     Record,
-    hemisphere_average,
     label_epoch,
     segment,
 )
@@ -37,11 +39,9 @@ from eegfx.time_features import (  # noqa: F401
     higuchi_fd,
     hjorth,
     hurst_exponent,
-    lbp_codes,
-    lgp_codes,
     line_length,
-    lndp_codes,
     local_extrema,
+    moments,
     nonlinear_energy,
     permutation_entropy,
     rms,
@@ -60,20 +60,16 @@ from eegfx.freq_features import (  # noqa: F401
     iwbw,
     iwmf,
     median_frequency,
-    median_psd,
     peak_frequency,
-    power_ratio,
     psd_welch,
     sef,
     spectral_entropy,
 )
 from eegfx.wavelets import (  # noqa: F401
     WAVELETS,
-    Spectrogram,
     WaveletDecomposition,
     dwt,
     idwt,
-    stft_spectrogram,
     subband_features,
 )
 from eegfx.evaluation import (  # noqa: F401
@@ -84,7 +80,6 @@ from eegfx.evaluation import (  # noqa: F401
     bayes_error,
     epoch_metrics,
     err0,
-    event_metrics,
     feature_significance,
     fit_kde,
     improvement_rate,

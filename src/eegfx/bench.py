@@ -4,17 +4,19 @@ Each feature is timed over a ladder of signal lengths; the log-log
 slope of runtime against length estimates the complexity exponent
 (1 for linear scans, 2 for pairwise template matching).
 
-Measurement guards against three artifacts of timing small numpy calls:
+Measurement guards against four artifacts of timing small numpy calls:
 per-size batches of distinct signals keep every block streaming through
-memory instead of replaying one cache-hot array; the sizes are timed in
-interleaved rounds of equally long blocks (minimum per size across
-rounds) so clock noise and frequency drift cannot skew one end of the
-fit; and each feature's per-call floor -- its time on a
-``FLOOR_SIZE``-sample signal, timed in the same rounds -- is subtracted
-before the fit, so the fixed cost of argument checks and numpy dispatch
-does not flatten the slope.  A cost that stays constant from the floor
-length upwards, such as thread hand-off inside one large call, is not
-in the floor and still shows.
+memory instead of replaying one cache-hot array; each round times the
+floor and every size back to back in equally long blocks, and the slope
+is fitted within each round, so a change of host speed that outlasts a
+round scales every size alike and cancels; the reported slope is the
+median over rounds, so a minority of rounds that a speed switch splits
+cannot move it; and each feature's per-call floor -- its time on a
+``FLOOR_SIZE``-sample signal -- is subtracted before each round's fit,
+so the fixed cost of argument checks and numpy dispatch does not
+flatten the slope.  A cost that stays constant from the floor length
+upwards, such as thread hand-off inside one large call, is not in the
+floor and still shows.
 """
 
 from __future__ import annotations
@@ -66,49 +68,73 @@ _TARGET_BLOCK_S = 3e-3
 _BATCH_BUDGET = 2_097_152  # elements of fresh signal per size
 
 
+def _fit_slope(sizes, seconds, floor: float = 0.0) -> float:
+    """Log-log slope of per-call time above ``floor`` against length.
+
+    NaN when some timing is not above the floor: the sizes are then too
+    small to measure the feature's work apart from its call cost.
+    """
+    net = np.subtract(seconds, floor)
+    if np.any(net <= 0):
+        return math.nan
+    return float(np.polyfit(np.log(sizes), np.log(net), 1)[0])
+
+
 @dataclass(frozen=True)
 class BenchResult:
-    """Best-of-rounds runtimes of one feature over increasing lengths.
+    """Per-round runtimes of one feature over increasing lengths.
 
-    ``seconds`` are the measured times per call; ``floor`` is the time
-    per call at ``FLOOR_SIZE`` samples, which the slope fit subtracts.
+    ``rounds[k]`` holds the seconds per call at each size in round k and
+    ``floors[k]`` the seconds per call at ``FLOOR_SIZE`` in that round.
     """
 
     feature: str
     sizes: tuple[int, ...]
-    seconds: tuple[float, ...]
-    floor: float = 0.0
+    rounds: tuple[tuple[float, ...], ...]
+    floors: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         sizes = tuple(int(n) for n in self.sizes)
-        seconds = tuple(float(s) for s in self.seconds)
-        if len(sizes) != len(seconds):
-            raise ValueError(f"{len(sizes)} sizes for {len(seconds)} timings")
+        rounds = tuple(tuple(float(s) for s in row) for row in self.rounds)
+        floors = tuple(float(f) for f in self.floors) or (0.0,) * len(rounds)
+        if not rounds:
+            raise ValueError("need timings from >= 1 round")
+        if len(floors) != len(rounds):
+            raise ValueError(f"{len(floors)} floors for {len(rounds)} rounds")
+        if any(len(row) != len(sizes) for row in rounds):
+            raise ValueError(f"{len(sizes)} sizes for rounds of other lengths")
         if len(sizes) < 2:
             raise ValueError("need timings at >= 2 sizes to fit a slope")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"sizes must increase, got {sizes}")
-        if any(s <= 0 for s in seconds):
+        if any(s <= 0 for row in rounds for s in row):
             raise ValueError("timings must be positive")
-        floor = float(self.floor)
-        if not 0 <= floor < math.inf:
-            raise ValueError(f"floor must be finite and >= 0, got {floor}")
+        if not all(0 <= f < math.inf for f in floors):
+            raise ValueError(f"floors must be finite and >= 0, got {floors}")
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "seconds", seconds)
-        object.__setattr__(self, "floor", floor)
+        object.__setattr__(self, "rounds", rounds)
+        object.__setattr__(self, "floors", floors)
+
+    @property
+    def seconds(self) -> tuple[float, ...]:
+        """Best-of-rounds seconds per call at each size."""
+        return tuple(min(column) for column in zip(*self.rounds))
+
+    @property
+    def floor(self) -> float:
+        """Best-of-rounds seconds per call at ``FLOOR_SIZE``."""
+        return min(self.floors)
 
     @property
     def slope(self) -> float:
-        """Fitted exponent of runtime above the floor against length, log-log.
+        """Median over rounds of each round's floor-subtracted slope.
 
-        NaN when some timing is not above the floor: the sizes are then
-        too small to measure the feature's work apart from its call cost.
+        NaN when in some round a timing is not above that round's floor.
         """
-        net = np.subtract(self.seconds, self.floor)
-        if np.any(net <= 0):
-            return math.nan
-        coeffs = np.polyfit(np.log(self.sizes), np.log(net), 1)
-        return float(coeffs[0])
+        return float(np.median([
+            _fit_slope(self.sizes, row, floor)
+            for row, floor in zip(self.rounds, self.floors)
+        ]))
 
 
 def _signal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -122,8 +148,8 @@ def _bench_feature(
     rng: np.random.Generator,
     sizes: tuple[int, ...],
     repeats: int,
-) -> tuple[float, ...]:
-    """Best-of-rounds seconds per call at the floor length, then at ``sizes``."""
+) -> list[list[float]]:
+    """Seconds per call in each round, at the floor length, then at ``sizes``."""
     batches = []
     sweeps = []
     for n in (FLOOR_SIZE, *sizes):
@@ -143,23 +169,24 @@ def _bench_feature(
 
     # Every block spans about the same wall time: the target, or one sweep
     # of the slowest batch.  Swings in host speed then average over equal
-    # windows at every size, so the minimum over rounds cannot favour the
-    # short blocks of small sizes.  Pass counts come from the sweeps, not
-    # the cache-hot probe, so batches of equal bytes get equal counts and
-    # none carries a larger share of cold first passes.
+    # windows at every size, so no size is timed in a shorter window than
+    # another.  Pass counts come from the sweeps, not the cache-hot probe,
+    # so batches of equal bytes get equal counts and none carries a larger
+    # share of cold first passes.
     block_s = max(_TARGET_BLOCK_S, *sweeps)
     inners = [max(1, round(block_s / sweep)) for sweep in sweeps]
 
-    best = [math.inf] * len(batches)
+    rounds = []
     for _ in range(repeats):
-        for i, (batch, inner) in enumerate(zip(batches, inners)):
+        row = []
+        for batch, inner in zip(batches, inners):
             start = time.perf_counter()
             for _ in range(inner):
                 for signal in batch:
                     fn(signal)
-            per_call = (time.perf_counter() - start) / (inner * len(batch))
-            best[i] = min(best[i], per_call)
-    return tuple(best)
+            row.append((time.perf_counter() - start) / (inner * len(batch)))
+        rounds.append(row)
+    return rounds
 
 
 def run_bench(
@@ -182,8 +209,10 @@ def run_bench(
     results = []
     for name, fn in suite.items():
         rng = np.random.default_rng(seed)
-        floor, *seconds = _bench_feature(fn, rng, sizes, repeats)
-        results.append(BenchResult(name, sizes, tuple(seconds), floor))
+        rounds = _bench_feature(fn, rng, sizes, repeats)
+        results.append(BenchResult(
+            name, sizes, tuple(row[1:] for row in rounds), tuple(row[0] for row in rounds)
+        ))
     return tuple(results)
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "feature_significance",
     "significance_csv",
     "epoch_metrics",
-    "event_metrics",
     "SIGNIFICANCE_THRESHOLD",
 ]
 
@@ -247,40 +246,3 @@ def epoch_metrics(counts: DetectionCounts) -> tuple[float, float, float]:
     sen = counts.tp / (counts.tp + counts.fn)
     spec = counts.tn / (counts.tn + counts.fp)
     return acc, sen, spec
-
-
-def _check_disjoint(events: Sequence[tuple[float, float]], name: str) -> list[tuple[float, float]]:
-    out = sorted((float(s), float(e)) for s, e in events)
-    for s, e in out:
-        if e <= s:
-            raise ValueError(f"{name} interval [{s}, {e}) is empty or reversed")
-    for (_, e_prev), (s_next, _) in zip(out, out[1:]):
-        if s_next < e_prev:
-            raise ValueError(f"{name} intervals overlap at {s_next}")
-    return out
-
-
-def _overlaps(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    return max(a[0], b[0]) < min(a[1], b[1])
-
-
-def event_metrics(
-    predicted_events: Sequence[tuple[float, float]],
-    annotated_events: Sequence[tuple[float, float]],
-    duration_h: float,
-) -> tuple[float, float]:
-    """(good detection rate %, false predictions per hour).
-
-    An annotated event counts as detected when any prediction overlaps
-    it, however briefly; a prediction with no overlap at all is a false
-    detection.
-    """
-    if duration_h <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration_h} h")
-    predicted = _check_disjoint(predicted_events, "predicted")
-    annotated = _check_disjoint(annotated_events, "annotated")
-    if not annotated:
-        raise ValueError("no annotated events, detection rate undefined")
-    detected = sum(1 for a in annotated if any(_overlaps(p, a) for p in predicted))
-    strays = sum(1 for p in predicted if not any(_overlaps(p, a) for a in annotated))
-    return 100.0 * detected / len(annotated), strays / duration_h

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 import scipy.signal
@@ -26,8 +26,6 @@ __all__ = [
     "median_frequency",
     "spectral_entropy",
     "peak_frequency",
-    "power_ratio",
-    "median_psd",
     "DEFAULT_BANDS",
 ]
 
@@ -210,30 +208,3 @@ def peak_frequency(psd: Psd) -> tuple[float, float]:
             best_score = score
             best = (float(freqs[idx]), right - left)
     return best
-
-
-def power_ratio(current: Psd, background: Psd, lo_hz: float, hi_hz: float) -> float:
-    """Band power of the current epoch relative to a background estimate."""
-    ref = band_energy(background, lo_hz, hi_hz)
-    if ref <= 0.0:
-        raise ValueError("background band power is zero, ratio undefined")
-    return band_energy(current, lo_hz, hi_hz) / ref
-
-
-def median_psd(history: Sequence[Psd], window: int = 30) -> Psd:
-    """Per-bin median over the trailing ``window`` spectra.
-
-    Serves as the background estimate for :func:`power_ratio`; the
-    median shrugs off occasional high-power epochs inside the history.
-    """
-    if not history:
-        raise ValueError("empty PSD history")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    tail = list(history)[-window:]
-    grid = tail[0].freqs
-    for psd in tail[1:]:
-        if psd.freqs.shape != grid.shape or not np.array_equal(psd.freqs, grid):
-            raise ValueError("PSD history mixes frequency grids")
-    stack = np.vstack([psd.power for psd in tail])
-    return Psd(freqs=grid, power=np.median(stack, axis=0))

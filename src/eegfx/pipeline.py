@@ -6,8 +6,22 @@ base feature becomes two columns, ``<Name>L`` and ``<Name>R``.  Rows
 are epochs in time order, labeled seizure when annotations cover more
 than half the window.
 
-A feature that is undefined for some epoch (zero-power spectrum, no
-template matches) yields NaN in that cell rather than failing the run;
+One registry maps each base feature name to a ``(source, reader)``
+pair.  A source is an intermediate of one channel epoch that several
+features share: the samples, their moments, the full ``stat_summary``,
+Hjorth parameters, the fused ApEn/SampEn template counts, the Welch PSD
+and its dominant peak, or the DWT band table.  Each source is computed
+at most once per epoch, and only when a requested feature reads it; a
+reader turns the source into one float.  ``FEATURE_CATALOG`` is the
+registry's key set.
+
+A feature that is undefined for some epoch yields NaN in that cell
+rather than failing the run: a reader that raises ``ValueError``
+(zero-power spectrum, no template match at m+1) and a Hjorth, template
+or peak source that raises it (constant signal) give NaN cells.  Any
+other source's ``ValueError`` is structural -- an epoch shorter than
+the Welch segment or too short for the DWT depth -- and aborts the run.
+A side mean is NaN wherever one of its channels is not finite;
 downstream evaluation skips such columns.
 """
 
@@ -16,6 +30,9 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from operator import attrgetter, itemgetter
+from typing import Any, Callable
 
 import numpy as np
 
@@ -23,6 +40,7 @@ from . import time_features as tf
 from .config import RunConfig
 from .feature_table import FeatureTable
 from .freq_features import (
+    Psd,
     iwbw,
     iwmf,
     median_frequency,
@@ -46,126 +64,116 @@ _BAND_FEATURES = (
 
 # The default catalog mirrors the evaluated feature set: 17 time-domain
 # and 5 frequency-domain features, plus 9 statistics per wavelet band.
-_DEFAULT_TIME = (
+DEFAULT_FEATURES: tuple[str, ...] = (
     "Mean", "Variance", "CV", "Skewness", "Kurtosis", "Max", "Min",
     "Energy", "NE", "LineLength", "ShEn", "ApEn", "SampEn",
     "LocalExtrema", "ZeroCrossing", "Mobility", "Complexity",
-)
-_DEFAULT_FREQ = ("IWMF", "IWBW", "SE", "PeakAmplitude", "PeakFrequency")
-
-DEFAULT_FEATURES: tuple[str, ...] = (
-    _DEFAULT_TIME
-    + _DEFAULT_FREQ
-    + tuple(f"{feat}{band}" for band in _BAND_NAMES for feat in _BAND_FEATURES)
-)
-
-_STAT_FEATURES = {
-    "Mean": "mean", "Variance": "variance", "CV": "cv",
-    "Skewness": "skewness", "Kurtosis": "kurtosis", "Max": "max",
-    "Min": "min", "Median": "median", "Mode": "mode",
-    "Q1": "q1", "Q3": "q3", "IQR": "iqr",
-}
-_DIRECT_FEATURES = {
-    "Energy": tf.energy,
-    "NE": tf.nonlinear_energy,
-    "LineLength": tf.line_length,
-    "ShEn": tf.shannon_entropy,
-    "LocalExtrema": lambda x: float(tf.local_extrema(x)),
-    "ZeroCrossing": lambda x: float(tf.zero_crossings(x)),
-    "RMS": tf.rms,
-    "AveragePower": tf.average_power,
-    "PE": tf.permutation_entropy,
-    "WPE": tf.weighted_permutation_entropy,
-    "FuzzyEn": tf.fuzzy_entropy,
-    "DistEn": tf.distribution_entropy,
-    "SVDEn": tf.svd_entropy,
-    "HFD": tf.higuchi_fd,
-    "BCFD": tf.box_counting_fd,
-    "HE": tf.hurst_exponent,
-    "DFA": tf.dfa,
-}
-_HJORTH_FEATURES = ("Mobility", "Complexity")
-_TEMPLATE_FEATURES = ("ApEn", "SampEn")
-_PSD_FEATURES = {
-    "IWMF": iwmf,
-    "IWBW": iwbw,
-    "SE": spectral_entropy,
-    "MedianFrequency": median_frequency,
-    "SEF90": lambda p: sef(p, 90.0),
-    "SEF95": lambda p: sef(p, 95.0),
-}
-_PEAK_FEATURES = ("PeakAmplitude", "PeakFrequency")
-_SUBBAND_FEATURES = frozenset(
-    f"{feat}{band}" for band in _BAND_NAMES for feat in _BAND_FEATURES
-)
-
-FEATURE_CATALOG: frozenset = frozenset(
-    set(_STAT_FEATURES)
-    | set(_DIRECT_FEATURES)
-    | set(_HJORTH_FEATURES)
-    | set(_TEMPLATE_FEATURES)
-    | set(_PSD_FEATURES)
-    | set(_PEAK_FEATURES)
-    | _SUBBAND_FEATURES
-)
+    "IWMF", "IWBW", "SE", "PeakAmplitude", "PeakFrequency",
+) + tuple(f"{feat}{band}" for band in _BAND_NAMES for feat in _BAND_FEATURES)
 
 
-def _epoch_features(
-    epoch: Epoch, names: tuple[str, ...], wavelet: str, levels: int
-) -> dict[str, float]:
-    """All requested base features for one epoch of one channel."""
-    want = set(names)
-    out: dict[str, float] = {}
-    x = epoch.samples
+def _peak(psd: Psd) -> tuple[float, float]:
+    """(frequency, power) of the PSD's dominant peak."""
+    peak_hz, _ = peak_frequency(psd)
+    return peak_hz, psd.power[np.searchsorted(psd.freqs, peak_hz)]
 
-    stat_names = want & set(_STAT_FEATURES)
-    if stat_names:
-        stats = tf.stat_summary(x)
-        for name in stat_names:
-            out[name] = float(getattr(stats, _STAT_FEATURES[name]))
-    for name in want & set(_DIRECT_FEATURES):
+
+class _Sources(dict):
+    """One channel epoch's sources, each computed on first lookup."""
+
+    def __init__(self, epoch: Epoch, config: RunConfig) -> None:
+        super().__init__(samples=epoch.samples)
+        self.epoch = epoch
+        self.config = config
+
+    def __missing__(self, source: str) -> Any:
         try:
-            out[name] = float(_DIRECT_FEATURES[name](x))
+            value = _SOURCES[source](self)
         except ValueError:
-            out[name] = math.nan
-    if want & set(_HJORTH_FEATURES):
+            if source not in _UNDEFINED_ON_ERROR:
+                raise
+            value = None
+        self[source] = value
+        return value
+
+
+_SOURCES: dict[str, Callable[[_Sources], Any]] = {
+    "moments": lambda s: tf.moments(s["samples"]),
+    "summary": lambda s: tf.stat_summary(s["samples"]),
+    "hjorth": lambda s: tf.hjorth(s["samples"]),
+    "template": lambda s: tf.template_entropies(s["samples"]),
+    "psd": lambda s: psd_welch(s.epoch),
+    "peak": lambda s: _peak(s["psd"]),
+    "bands": lambda s: subband_features(
+        dwt(s["samples"], s.config.wavelet, s.config.levels)
+    ),
+}
+# Sources whose ValueError means the features are undefined on this epoch.
+_UNDEFINED_ON_ERROR = frozenset({"hjorth", "template", "peak"})
+
+_REGISTRY: dict[str, tuple[str, Callable[[Any], float]]] = {
+    **{
+        name: ("moments", itemgetter(i))
+        for i, name in enumerate(("Mean", "Variance", "CV", "Skewness", "Kurtosis"))
+    },
+    "Max": ("samples", np.max),
+    "Min": ("samples", np.min),
+    **{
+        name: ("summary", attrgetter(name.lower()))
+        for name in ("Median", "Mode", "Q1", "Q3", "IQR")
+    },
+    "Energy": ("samples", tf.energy),
+    "NE": ("samples", tf.nonlinear_energy),
+    "LineLength": ("samples", tf.line_length),
+    "ShEn": ("samples", tf.shannon_entropy),
+    "LocalExtrema": ("samples", tf.local_extrema),
+    "ZeroCrossing": ("samples", tf.zero_crossings),
+    "RMS": ("samples", tf.rms),
+    "AveragePower": ("samples", tf.average_power),
+    "PE": ("samples", tf.permutation_entropy),
+    "WPE": ("samples", tf.weighted_permutation_entropy),
+    "FuzzyEn": ("samples", tf.fuzzy_entropy),
+    "DistEn": ("samples", tf.distribution_entropy),
+    "SVDEn": ("samples", tf.svd_entropy),
+    "HFD": ("samples", tf.higuchi_fd),
+    "BCFD": ("samples", tf.box_counting_fd),
+    "HE": ("samples", tf.hurst_exponent),
+    "DFA": ("samples", tf.dfa),
+    "Mobility": ("hjorth", itemgetter(1)),
+    "Complexity": ("hjorth", itemgetter(2)),
+    "ApEn": ("template", itemgetter(0)),
+    "SampEn": ("template", itemgetter(1)),
+    "IWMF": ("psd", iwmf),
+    "IWBW": ("psd", iwbw),
+    "SE": ("psd", spectral_entropy),
+    "MedianFrequency": ("psd", median_frequency),
+    "SEF90": ("psd", partial(sef, alpha=90.0)),
+    "SEF95": ("psd", partial(sef, alpha=95.0)),
+    "PeakFrequency": ("peak", itemgetter(0)),
+    "PeakAmplitude": ("peak", itemgetter(1)),
+    **{
+        f"{feat}{band}": ("bands", itemgetter(f"{feat}{band}"))
+        for band in _BAND_NAMES
+        for feat in _BAND_FEATURES
+    },
+}
+
+FEATURE_CATALOG: frozenset = frozenset(_REGISTRY)
+
+
+def _epoch_row(
+    epoch: Epoch, readers: list[tuple[str, Callable[[Any], float]]], config: RunConfig
+) -> list[float]:
+    """The requested base features of one channel epoch, NaN where undefined."""
+    sources = _Sources(epoch, config)
+    row = []
+    for source, read in readers:
+        value = sources[source]
         try:
-            _, mobility, complexity = tf.hjorth(x)
-            out["Mobility"], out["Complexity"] = float(mobility), float(complexity)
+            row.append(math.nan if value is None else float(read(value)))
         except ValueError:
-            out["Mobility"] = out["Complexity"] = math.nan
-    if want & set(_TEMPLATE_FEATURES):
-        try:
-            out["ApEn"], out["SampEn"] = tf.template_entropies(x)
-        except ValueError:
-            out["ApEn"] = out["SampEn"] = math.nan
-
-    psd_names = want & set(_PSD_FEATURES)
-    peak_names = want & set(_PEAK_FEATURES)
-    if psd_names or peak_names:
-        psd = psd_welch(epoch)
-        for name in psd_names:
-            try:
-                out[name] = float(_PSD_FEATURES[name](psd))
-            except ValueError:
-                out[name] = math.nan
-        if peak_names:
-            try:
-                peak_hz, _ = peak_frequency(psd)
-                out["PeakFrequency"] = float(peak_hz)
-                out["PeakAmplitude"] = float(
-                    psd.power[np.searchsorted(psd.freqs, peak_hz)]
-                )
-            except ValueError:
-                out["PeakFrequency"] = out["PeakAmplitude"] = math.nan
-
-    if want & _SUBBAND_FEATURES:
-        decomp = dwt(x, wavelet=wavelet, levels=levels)
-        for key, value in subband_features(decomp).items():
-            if key in want:
-                out[key] = float(value)
-
-    return {name: out[name] for name in names}
+            row.append(math.nan)
+    return row
 
 
 def _montage_in_record(record: Record, montage: Montage) -> Montage:
@@ -213,11 +221,10 @@ def extract(record: Record, config: RunConfig | None = None) -> FeatureTable:
             f"{config.width_s} s epoch"
         )
 
-    def worker(channel: str) -> list[dict[str, float]]:
-        return [
-            _epoch_features(e, names, config.wavelet, config.levels)
-            for e in epochs[channel]
-        ]
+    readers = [_REGISTRY[name] for name in names]
+
+    def worker(channel: str) -> np.ndarray:
+        return np.array([_epoch_row(e, readers, config) for e in epochs[channel]])
 
     if config.threads == 1:
         per_channel = {c: worker(c) for c in channels}
@@ -235,20 +242,14 @@ def extract(record: Record, config: RunConfig | None = None) -> FeatureTable:
         dtype=np.int64,
     )
 
-    def side_mean(side: tuple[str, ...], i: int, name: str) -> float:
-        total = 0.0
-        for channel in side:
-            v = per_channel[channel][i][name]
-            if not math.isfinite(v):
-                return math.nan
-            total += v
-        return total / len(side)
-
     values = np.empty((n_epochs, 2 * len(names)))
-    for j, name in enumerate(names):
-        for i in range(n_epochs):
-            values[i, 2 * j] = side_mean(montage.left, i, name)
-            values[i, 2 * j + 1] = side_mean(montage.right, i, name)
+    for k, side in enumerate((montage.left, montage.right)):
+        total = np.zeros((n_epochs, len(names)))
+        finite = np.ones((n_epochs, len(names)), dtype=bool)
+        for channel in side:  # summed in montage order
+            total += per_channel[channel]
+            finite &= np.isfinite(per_channel[channel])
+        values[:, k::2] = np.where(finite, total / len(side), math.nan)
 
     feature_names = tuple(
         f"{name}{side}" for name in names for side in ("L", "R")

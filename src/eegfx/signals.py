@@ -2,15 +2,15 @@
 
 An EEG recording is held as a channel-by-sample matrix (:class:`Record`).
 Sliding windows cut from one channel are :class:`Epoch` objects; features are
-computed per epoch and then averaged over each hemisphere's channels
-(:func:`hemisphere_average`).
+computed per epoch and then averaged over each :class:`Montage` side's
+channels by the pipeline.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "Montage",
     "Record",
     "DEFAULT_MONTAGE",
-    "hemisphere_average",
     "label_epoch",
     "segment",
 ]
@@ -237,25 +236,3 @@ def label_epoch(
     if covered > 0.5 * (end - start):
         return EpochLabel.SEIZURE
     return EpochLabel.NORMAL
-
-
-def hemisphere_average(
-    values: Mapping[str, float], montage: Montage
-) -> tuple[float, float]:
-    """Average a per-channel feature over each montage side.
-
-    Returns ``(left_mean, right_mean)``. Every montage channel must be
-    present with a finite value; the offending channel is named otherwise.
-    """
-    sides = []
-    for side in (montage.left, montage.right):
-        total = 0.0
-        for channel in side:
-            if channel not in values:
-                raise KeyError(f"no value for montage channel {channel!r}")
-            v = float(values[channel])
-            if not np.isfinite(v):
-                raise ValueError(f"non-finite value for channel {channel!r}: {v}")
-            total += v
-        sides.append(total / len(side))
-    return sides[0], sides[1]

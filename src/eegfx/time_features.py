@@ -33,11 +33,9 @@ __all__ = [
     "higuchi_fd",
     "hjorth",
     "hurst_exponent",
-    "lbp_codes",
-    "lgp_codes",
     "line_length",
-    "lndp_codes",
     "local_extrema",
+    "moments",
     "nonlinear_energy",
     "permutation_entropy",
     "rms",
@@ -90,28 +88,36 @@ class StatSummary:
     iqr: float
 
 
-def stat_summary(x) -> StatSummary:
-    """Moment and order statistics of a sequence.
+def moments(x) -> tuple[float, float, float, float, float]:
+    """(mean, variance, cv, skewness, kurtosis) of a sequence.
 
     Population moments (divide by N); skewness/kurtosis standardized by
     SD^3/SD^4, kurtosis raw (Gaussian -> 3), both 0 for a constant input.
-    Quartiles use linear interpolation; mode is the center of the fullest of
-    64 equal-width bins. cv = sqrt(variance)/mean, 0 for a constant signal
-    and NaN when the mean is exactly 0 (undefined).
+    cv = sqrt(variance)/mean, 0 for a constant signal and NaN when the
+    mean is exactly 0 (undefined).
     """
     a = _as_signal(x, 2)
     mean = float(a.mean())
     var = float(a.var())
-    lo, hi = float(a.min()), float(a.max())
     if var == 0.0:
-        skew = kurt = 0.0
-        cv = 0.0
-    else:
-        sd = math.sqrt(var)
-        d = a - mean
-        skew = float((d**3).mean()) / sd**3
-        kurt = float((d**4).mean()) / var**2
-        cv = math.sqrt(var) / mean if mean != 0.0 else math.nan
+        return mean, var, 0.0, 0.0, 0.0
+    sd = math.sqrt(var)
+    d = a - mean
+    skew = float((d**3).mean()) / sd**3
+    kurt = float((d**4).mean()) / var**2
+    cv = math.sqrt(var) / mean if mean != 0.0 else math.nan
+    return mean, var, cv, skew, kurt
+
+
+def stat_summary(x) -> StatSummary:
+    """Moment and order statistics of a sequence.
+
+    The moments are those of :func:`moments`. Quartiles use linear
+    interpolation; mode is the center of the fullest of 64 equal-width bins.
+    """
+    a = _as_signal(x, 2)
+    mean, var, cv, skew, kurt = moments(a)
+    lo, hi = float(a.min()), float(a.max())
     if hi == lo:
         mode = lo
     else:
@@ -550,73 +556,6 @@ def box_counting_fd(x) -> float:
     counts = [_boxes_crossed(t, y, int(k)) for k in ks]
     # ln N(eps) vs ln(1/eps) = k ln 2
     return float(np.polyfit(ks * math.log(2.0), np.log(counts), 1)[0])
-
-
-def _code_histogram(codes: np.ndarray, m: int) -> np.ndarray:
-    return np.bincount(codes, minlength=1 << m) / codes.size
-
-
-def lbp_codes(x, m: int = 6) -> np.ndarray:
-    """Normalized histogram of local binary patterns (2^m bins).
-
-    Each position compares m neighbors against the window center (the
-    center itself is skipped by shifting the upper half one sample right);
-    bit j is set when the neighbor is >= the center.
-    """
-    a = _as_signal(x, m + 2)
-    if m < 2 or m % 2:
-        raise ValueError("m must be a positive even integer")
-    n_pos = a.size - m
-    half = m // 2
-    center = a[half : half + n_pos]
-    codes = np.zeros(n_pos, dtype=np.int64)
-    for j in range(m):
-        src = a[j : j + n_pos] if j < half else a[j + 1 : j + 1 + n_pos]
-        codes |= ((src - center) >= 0).astype(np.int64) << j
-    return _code_histogram(codes, m)
-
-
-def lndp_codes(x, m: int = 6) -> np.ndarray:
-    """Normalized histogram of neighbor-difference sign patterns.
-
-    Bit j encodes the sign of x[i+j] - x[i+j+1]; monotone increasing input
-    maps every position to code 0, decreasing to 2^m - 1.
-    """
-    a = _as_signal(x, m + 2)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n_pos = a.size - m
-    codes = np.zeros(n_pos, dtype=np.int64)
-    for j in range(m):
-        codes |= ((a[j : j + n_pos] - a[j + 1 : j + 1 + n_pos]) >= 0).astype(
-            np.int64
-        ) << j
-    return _code_histogram(codes, m)
-
-
-def lgp_codes(x, m: int = 6) -> np.ndarray:
-    """Normalized histogram of gradient patterns against the mean gradient.
-
-    Bit j is set when |neighbor - center| meets or exceeds the position's
-    average absolute deviation from its first sample (sum of m+1 terms
-    divided by m, the k = 0 term being zero).
-    """
-    a = _as_signal(x, m + 2)
-    if m < 2 or m % 2:
-        raise ValueError("m must be a positive even integer")
-    n_pos = a.size - m
-    half = m // 2
-    center = a[half : half + n_pos]
-    first = a[:n_pos]
-    grad = np.zeros(n_pos)
-    for k in range(m + 1):
-        grad += np.abs(a[k : k + n_pos] - first)
-    grad /= m
-    codes = np.zeros(n_pos, dtype=np.int64)
-    for j in range(m):
-        src = a[j : j + n_pos] if j < half else a[j + 1 : j + 1 + n_pos]
-        codes |= ((np.abs(src - center) - grad) >= 0).astype(np.int64) << j
-    return _code_histogram(codes, m)
 
 
 def hjorth(x) -> tuple[float, float, float]:

@@ -1,4 +1,4 @@
-"""Multi-level discrete wavelet transform, STFT, and sub-band features.
+"""Multi-level discrete wavelet transform and sub-band features.
 
 The DWT is a Mallat filter-bank cascade over Daubechies orthonormal
 filters.  Each level runs the analysis pair as a circular convolution,
@@ -7,27 +7,29 @@ input exactly and the full decomposition partitions the signal energy
 across D1..DL plus A_L.  Odd-length inputs are padded with one repeat
 of their final sample before filtering; the pad is deterministic, so
 reconstruction stays exact at every length.
+
+Sub-band features are the time-domain statistics of each band's
+coefficient sequence: the moments of :func:`time_features.moments`,
+min, max, energy and line length, so a band value equals the 1-D
+function applied to ``decomp.band(name)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from eegfx.signals import Epoch
-from eegfx.time_features import energy, line_length, stat_summary
+from eegfx.time_features import energy, line_length, moments
 
 __all__ = [
     "WaveletDecomposition",
-    "Spectrogram",
     "dwt",
     "idwt",
     "subband_features",
-    "stft_spectrogram",
     "WAVELETS",
 ]
 
@@ -189,83 +191,29 @@ def idwt(decomp: WaveletDecomposition) -> np.ndarray:
     return a
 
 
-def _default_band_features(coeffs: np.ndarray) -> dict[str, float]:
-    stats = stat_summary(coeffs)
-    return {
-        "Mean": stats.mean,
-        "AbsMean": stat_summary(np.abs(coeffs)).mean,
-        "Variance": stats.variance,
-        "Skewness": stats.skewness,
-        "Kurtosis": stats.kurtosis,
-        "Min": stats.min,
-        "Max": stats.max,
-        "Energy": energy(coeffs),
-        "LineLength": line_length(coeffs),
-    }
-
-
-def subband_features(
-    decomp: WaveletDecomposition,
-    features: Mapping[str, Callable[[np.ndarray], float]] | None = None,
-) -> dict[str, float]:
+def subband_features(decomp: WaveletDecomposition) -> dict[str, float]:
     """Per-band features, keyed ``<Feature><Band>`` (for example EnergyD1).
 
-    The default set is mean, absolute mean, variance, skewness,
-    kurtosis, min, max, energy, and line length, each delegated to the
-    time-domain implementation applied to the band's coefficient
-    sequence.  Pass ``features`` to delegate any other callable the
-    same way (for instance an entropy).
+    Mean, absolute mean, variance, skewness, kurtosis, min, max, energy,
+    and line length of each band's coefficient sequence, each as the
+    time-domain function computes it.
     """
     out: dict[str, float] = {}
     for band_name, coeffs in zip(decomp.band_names, (*decomp.details, decomp.approx)):
         if coeffs.size < 2:
             raise ValueError(f"band {band_name} has {coeffs.size} coefficient(s), need >= 2")
-        if features is None:
-            values = _default_band_features(coeffs)
-        else:
-            values = {name: float(fn(coeffs)) for name, fn in features.items()}
+        mean, var, _, skew, kurt = moments(coeffs)
+        values = {
+            "Mean": mean,
+            "AbsMean": float(np.abs(coeffs).mean()),
+            "Variance": var,
+            "Skewness": skew,
+            "Kurtosis": kurt,
+            "Min": float(coeffs.min()),
+            "Max": float(coeffs.max()),
+            "Energy": energy(coeffs),
+            "LineLength": line_length(coeffs),
+        }
         for feature_name, value in values.items():
             out[f"{feature_name}{band_name}"] = value
     return out
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """Short-time Fourier magnitudes on a time x frequency grid."""
-
-    times: np.ndarray
-    freqs: np.ndarray
-    magnitude: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=np.float64)
-        freqs = np.asarray(self.freqs, dtype=np.float64)
-        mag = np.asarray(self.magnitude, dtype=np.float64)
-        if mag.shape != (times.size, freqs.size):
-            raise ValueError("magnitude must be times x freqs")
-        if np.any(mag < 0) or not np.all(np.isfinite(mag)):
-            raise ValueError("magnitude must be finite and nonnegative")
-        for arr in (times, freqs, mag):
-            arr.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "magnitude", mag)
-
-
-def stft_spectrogram(epoch: Epoch, win_len: int = 256, hop: int = 128) -> Spectrogram:
-    """Hamming-windowed one-sided STFT magnitude.
-
-    Frames lie fully inside the epoch; each time stamp is the center of
-    its frame, offset by the epoch start.
-    """
-    x = epoch.samples
-    if not 2 <= win_len <= x.size:
-        raise ValueError(f"window of {win_len} does not fit {x.size} samples")
-    if hop < 1:
-        raise ValueError(f"hop must be >= 1, got {hop}")
-    starts = np.arange(0, x.size - win_len + 1, hop)
-    frames = sliding_window_view(x, win_len)[starts] * np.hamming(win_len)
-    magnitude = np.abs(np.fft.rfft(frames, axis=1))
-    times = epoch.start_time + (starts + win_len / 2.0) / epoch.fs
-    freqs = np.fft.rfftfreq(win_len, d=1.0 / epoch.fs)
-    return Spectrogram(times=times, freqs=freqs, magnitude=magnitude)

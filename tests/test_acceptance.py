@@ -50,8 +50,9 @@ def test_entropy_suite_matches_naive_oracles():
     # The budget times the library calls alone; the pure-Python oracles
     # measure the host's interpreter, not the code under test.  It is the
     # former 60 s whole-suite budget less the 32.4 s that the whole suite
-    # took in the last passing run log (test_output.txt), so the library
-    # is held at least as tightly as that gate held it there.
+    # took in the last passing run log (recorded in the CHANGES.md entry
+    # "Tier-1 repair"), so the library is held at least as tightly as that
+    # gate held it there.
     budget_s = 27.6
     tol = 1e-12
     library_s = 0.0

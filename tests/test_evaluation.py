@@ -10,7 +10,6 @@ from eegfx.evaluation import (
     bayes_error,
     epoch_metrics,
     err0,
-    event_metrics,
     feature_significance,
     fit_kde,
     improvement_rate,
@@ -243,35 +242,3 @@ def test_epoch_metrics_guards():
         DetectionCounts(tp=-1, fp=0, fn=0, tn=0)
     with pytest.raises(ValueError):
         DetectionCounts(tp=1.5, fp=0, fn=0, tn=0)
-
-
-def test_event_metrics_exact_match():
-    events = [(10.0, 50.0), (100.0, 130.0)]
-    assert event_metrics(events, events, duration_h=1.0) == (100.0, 0.0)
-
-
-def test_event_metrics_brief_overlap_counts():
-    gdr, fpr = event_metrics([(59.0, 60.0)], [(10.0, 60.0)], duration_h=2.0)
-    assert gdr == 100.0
-    assert fpr == 0.0
-
-
-def test_event_metrics_counts_strays():
-    gdr, fpr = event_metrics(
-        [(10.0, 20.0), (200.0, 210.0), (300.0, 310.0)],
-        [(12.0, 15.0)],
-        duration_h=4.0,
-    )
-    assert gdr == 100.0
-    assert fpr == 0.5
-
-
-def test_event_metrics_guards():
-    with pytest.raises(ValueError, match="no annotated"):
-        event_metrics([(0.0, 1.0)], [], duration_h=1.0)
-    with pytest.raises(ValueError, match="reversed"):
-        event_metrics([(5.0, 1.0)], [(0.0, 1.0)], duration_h=1.0)
-    with pytest.raises(ValueError, match="overlap"):
-        event_metrics([(0.0, 5.0), (4.0, 6.0)], [(0.0, 1.0)], duration_h=1.0)
-    with pytest.raises(ValueError, match="duration"):
-        event_metrics([(0.0, 1.0)], [(0.0, 1.0)], duration_h=0.0)

@@ -9,9 +9,7 @@ from eegfx.freq_features import (
     iwbw,
     iwmf,
     median_frequency,
-    median_psd,
     peak_frequency,
-    power_ratio,
     psd_welch,
     sef,
     spectral_entropy,
@@ -243,45 +241,3 @@ def test_peak_frequency_monotone_psd_falls_back_to_global_max():
     peak_hz, width = peak_frequency(_psd(power))
     assert peak_hz == 0.0
     assert width >= 0.0
-
-
-def test_power_ratio_identity_and_linearity():
-    psd = psd_welch(_sine_epoch(10.0))
-    doubled = Psd(freqs=psd.freqs, power=2.0 * psd.power)
-    assert power_ratio(psd, psd, 8.0, 12.0) == pytest.approx(1.0)
-    assert power_ratio(doubled, psd, 8.0, 12.0) == pytest.approx(2.0)
-
-
-def test_power_ratio_quadruples_when_amplitude_doubles():
-    base = psd_welch(_sine_epoch(10.0, amp=1.0))
-    loud = psd_welch(_sine_epoch(10.0, amp=2.0))
-    assert power_ratio(loud, base, 8.0, 12.0) == pytest.approx(4.0, rel=1e-6)
-
-
-def test_power_ratio_rejects_zero_background():
-    current = _point_mass(10)
-    background = _point_mass(40)
-    with pytest.raises(ValueError, match="background"):
-        power_ratio(current, background, 8.0, 12.0)
-
-
-def test_median_psd_tracks_trailing_window():
-    quiet = _point_mass(10, height=1.0)
-    loud = _point_mass(10, height=100.0)
-    history = [loud] * 5 + [quiet] * 30
-    background = median_psd(history, window=30)
-    assert background.power[10] == 1.0
-
-
-def test_median_psd_resists_outlier_epochs():
-    history = [_point_mass(10, height=1.0)] * 20 + [_point_mass(10, height=50.0)] * 5
-    assert median_psd(history).power[10] == 1.0
-
-
-def test_median_psd_rejects_mixed_grids_and_empty_history():
-    a = _point_mass(3, n_bins=65)
-    b = _point_mass(3, n_bins=129)
-    with pytest.raises(ValueError, match="grids"):
-        median_psd([a, b])
-    with pytest.raises(ValueError, match="empty"):
-        median_psd([])

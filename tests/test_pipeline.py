@@ -6,9 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from eegfx import time_features as tf
 from eegfx.config import RunConfig
 from eegfx.feature_table import FeatureTable
-from eegfx.freq_features import peak_frequency, psd_welch
+from eegfx.freq_features import (
+    iwbw,
+    iwmf,
+    median_frequency,
+    peak_frequency,
+    psd_welch,
+    sef,
+    spectral_entropy,
+)
 from eegfx.pipeline import DEFAULT_FEATURES, FEATURE_CATALOG, extract
 from eegfx.signals import Epoch, Montage, Record
 from eegfx.synth import SynthSpec, synth_record
@@ -18,7 +27,7 @@ from eegfx.time_features import (
     sample_entropy,
     stat_summary,
 )
-from eegfx.wavelets import dwt
+from eegfx.wavelets import dwt, subband_features
 
 _PAIR = Montage(left=("A",), right=("B",))
 
@@ -138,6 +147,111 @@ class TestValues:
             assert np.all(np.isfinite(column[~flat]))
         assert np.all(np.isfinite(table.column("MobilityR")))
         assert np.all(np.isfinite(table.column("MeanL")))
+
+
+def _peak(psd, which):
+    peak_hz, _ = peak_frequency(psd)
+    if which == "frequency":
+        return peak_hz
+    return psd.power[np.searchsorted(psd.freqs, peak_hz)]
+
+
+# Each catalog name as a call of the 1-D public API on one channel epoch.
+_STAT_FIELDS = {
+    "Mean": "mean", "Variance": "variance", "CV": "cv", "Skewness": "skewness",
+    "Kurtosis": "kurtosis", "Max": "max", "Min": "min", "Median": "median",
+    "Mode": "mode", "Q1": "q1", "Q3": "q3", "IQR": "iqr",
+}
+_ON_SAMPLES = {
+    **{name: (lambda x, f=field: getattr(stat_summary(x), f))
+       for name, field in _STAT_FIELDS.items()},
+    "Energy": tf.energy, "NE": tf.nonlinear_energy, "LineLength": tf.line_length,
+    "ShEn": tf.shannon_entropy, "LocalExtrema": tf.local_extrema,
+    "ZeroCrossing": tf.zero_crossings, "RMS": tf.rms,
+    "AveragePower": tf.average_power, "PE": tf.permutation_entropy,
+    "WPE": tf.weighted_permutation_entropy, "FuzzyEn": tf.fuzzy_entropy,
+    "DistEn": tf.distribution_entropy, "SVDEn": tf.svd_entropy,
+    "HFD": tf.higuchi_fd, "BCFD": tf.box_counting_fd, "HE": tf.hurst_exponent,
+    "DFA": tf.dfa,
+    "Mobility": lambda x: tf.hjorth(x)[1],
+    "Complexity": lambda x: tf.hjorth(x)[2],
+    "ApEn": tf.approximate_entropy, "SampEn": tf.sample_entropy,
+}
+_ON_PSD = {
+    "IWMF": iwmf, "IWBW": iwbw, "SE": spectral_entropy,
+    "MedianFrequency": median_frequency,
+    "SEF90": lambda p: sef(p, 90.0), "SEF95": lambda p: sef(p, 95.0),
+    "PeakFrequency": lambda p: _peak(p, "frequency"),
+    "PeakAmplitude": lambda p: _peak(p, "amplitude"),
+}
+
+
+def _reference_cell(name, x, fs):
+    """One channel epoch's value from the public 1-D function, NaN where
+    that function raises ValueError."""
+    try:
+        if name in _ON_SAMPLES:
+            return float(_ON_SAMPLES[name](x))
+        if name in _ON_PSD:
+            return float(_ON_PSD[name](psd_welch(Epoch(samples=x, fs=fs))))
+        return float(subband_features(dwt(x))[name])
+    except ValueError:
+        return math.nan
+
+
+class TestCatalogWiring:
+    """Every catalog name, through extract, equals its public function."""
+
+    _cells: dict = {}  # reference values by (name, channel, epoch), shared
+
+    @staticmethod
+    def _record():
+        # A noise channel, an all-zero channel, a constant channel, and a
+        # noise channel with a zero stretch across its first epochs.
+        record = synth_record(
+            SynthSpec(duration_s=6.0, channels=("A", "B", "C", "D", "E", "F"), seed=3)
+        )
+        data = record.data.copy()
+        data[1] = 0.0
+        data[3] = 7.25
+        data[4, 256:1280] = 0.0
+        return dataclasses.replace(record, data=data)
+
+    def test_reference_covers_the_catalog(self):
+        known = set(_ON_SAMPLES) | set(_ON_PSD)
+        bands = set(subband_features(dwt(np.arange(1024.0))))
+        assert known | bands == FEATURE_CATALOG
+        assert not known & bands
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [(("A",), ("B",)), (("C",), ("D",)), (("E",), ("F",)),
+         (("A", "B", "E"), ("C", "D", "F"))],
+    )
+    def test_every_catalog_cell_equals_its_public_function(self, left, right):
+        record = self._record()
+        names = tuple(sorted(FEATURE_CATALOG))
+        cfg = RunConfig(features=names, montage=Montage(left=left, right=right))
+        table = extract(record, cfg)
+        width = int(cfg.width_s * record.fs)
+        stride = int(cfg.stride_s * record.fs)
+        for i in range(len(table)):
+            cut = slice(i * stride, i * stride + width)
+            for side, channels in (("L", left), ("R", right)):
+                for name in names:
+                    want = 0.0
+                    for c in channels:
+                        key = (name, c, i)
+                        if key not in self._cells:
+                            x = record.channel_data(c)[cut]
+                            self._cells[key] = _reference_cell(name, x, record.fs)
+                        want += self._cells[key]
+                    want = want / len(channels) if math.isfinite(want) else math.nan
+                    got = table.column(f"{name}{side}")[i]
+                    if math.isnan(want):
+                        assert math.isnan(got), (name, side, i)
+                    else:
+                        assert got == want, (name, side, i, got, want)
 
 
 class TestLabels:

@@ -7,7 +7,6 @@ from eegfx.signals import (
     EpochLabel,
     Montage,
     Record,
-    hemisphere_average,
     label_epoch,
     segment,
 )
@@ -124,31 +123,3 @@ class TestLabelEpoch:
     def test_epoch_object_accepted(self):
         e = Epoch(samples=np.zeros(1024), fs=256.0, start_time=10.0)
         assert label_epoch(e, [(10.0, 13.0)]) is EpochLabel.SEIZURE
-
-
-class TestHemisphereAverage:
-    MONTAGE = Montage(left=("L1", "L2"), right=("R1", "R2"))
-
-    def test_hand_means(self):
-        values = {"L1": 1.0, "L2": 3.0, "R1": 2.0, "R2": 4.0}
-        assert hemisphere_average(values, self.MONTAGE) == (2.0, 3.0)
-
-    def test_all_equal(self):
-        values = dict.fromkeys(("L1", "L2", "R1", "R2"), 7.5)
-        assert hemisphere_average(values, self.MONTAGE) == (7.5, 7.5)
-
-    def test_missing_channel_named(self):
-        with pytest.raises(KeyError, match="R2"):
-            hemisphere_average({"L1": 1.0, "L2": 2.0, "R1": 3.0}, self.MONTAGE)
-
-    def test_nan_rejected(self):
-        values = {"L1": 1.0, "L2": np.nan, "R1": 3.0, "R2": 4.0}
-        with pytest.raises(ValueError, match="L2"):
-            hemisphere_average(values, self.MONTAGE)
-
-    def test_permutation_invariance(self):
-        montage_swapped = Montage(left=("L2", "L1"), right=("R2", "R1"))
-        values = {"L1": 0.1, "L2": 0.9, "R1": -1.0, "R2": 5.0}
-        assert hemisphere_average(values, self.MONTAGE) == hemisphere_average(
-            values, montage_swapped
-        )

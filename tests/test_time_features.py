@@ -14,11 +14,9 @@ from eegfx.time_features import (
     higuchi_fd,
     hjorth,
     hurst_exponent,
-    lbp_codes,
-    lgp_codes,
     line_length,
-    lndp_codes,
     local_extrema,
+    moments,
     nonlinear_energy,
     permutation_entropy,
     rms,
@@ -81,6 +79,35 @@ class TestStatSummary:
     def test_too_short(self):
         with pytest.raises(ValueError):
             stat_summary([1.0])
+        with pytest.raises(ValueError):
+            moments([1.0])
+
+
+class TestMoments:
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(8)
+        yield from (rng.standard_normal(n) * 30.0 + 5.0 for n in (2, 3, 17, 1024))
+        yield from (np.full(n, v) for n in (2, 64) for v in (0.0, -3.5, 7.25))
+        x = rng.standard_normal(256)
+        yield np.concatenate([x, -x])  # mean exactly 0: cv is NaN
+        yield np.array([-1.0, 1.0])
+
+    def test_equal_to_stat_summary_fields(self):
+        for x in self._inputs():
+            s = stat_summary(x)
+            np.testing.assert_array_equal(
+                moments(x), (s.mean, s.variance, s.cv, s.skewness, s.kurtosis)
+            )
+
+    def test_hand_values(self):
+        mean, var, cv, skew, kurt = moments([1, 2, 3, 4])
+        assert (mean, var) == (2.5, 1.25)
+        assert cv == pytest.approx(math.sqrt(1.25) / 2.5, abs=1e-15)
+        assert skew == pytest.approx(0.0, abs=1e-15)
+        assert kurt == pytest.approx(1.64, abs=1e-12)
+        assert moments([5.0] * 10) == (5.0, 0.0, 0.0, 0.0, 0.0)
+        assert math.isnan(moments([-1.0, 1.0])[2])
 
 
 class TestEnergyFamily:
@@ -434,42 +461,6 @@ class TestBoxCountingFd:
         rng = np.random.default_rng(26)
         line = np.linspace(0.0, 1.0, 1024)
         assert box_counting_fd(rng.standard_normal(1024)) > box_counting_fd(line)
-
-
-class TestPatternCodes:
-    def test_lndp_monotone_extremes(self):
-        inc = np.arange(20.0)
-        dec = inc[::-1]
-        h_inc = lndp_codes(inc, 6)
-        h_dec = lndp_codes(dec, 6)
-        assert h_inc[0] == 1.0 and h_inc[1:].sum() == 0.0
-        assert h_dec[-1] == 1.0 and h_dec[:-1].sum() == 0.0
-
-    def test_lbp_hand_codes_m2(self):
-        # x = [3,1,2,5,4,0]: codes (3, 2, 0, 1), one position each
-        h = lbp_codes(np.array([3.0, 1, 2, 5, 4, 0]), 2)
-        assert h.tolist() == [0.25, 0.25, 0.25, 0.25]
-
-    def test_histograms_normalized(self):
-        rng = np.random.default_rng(27)
-        x = rng.standard_normal(300)
-        for fn in (lbp_codes, lndp_codes, lgp_codes):
-            h = fn(x, 6)
-            assert h.size == 64
-            assert h.sum() == pytest.approx(1.0, abs=1e-12)
-            assert (h >= 0).all()
-
-    def test_odd_m_rejected(self):
-        x = np.arange(30.0)
-        for fn in (lbp_codes, lgp_codes):
-            with pytest.raises(ValueError):
-                fn(x, 5)
-        lndp_codes(x, 5)  # LNDP allows any m >= 1
-
-    def test_lgp_constant_signal(self):
-        # zero gradients everywhere: |diff| - g = 0 -> all bits set
-        h = lgp_codes(np.full(20, 1.0), 4)
-        assert h[-1] == 1.0
 
 
 class TestHjorth:

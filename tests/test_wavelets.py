@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from eegfx.signals import Epoch
-from eegfx.time_features import energy, line_length, permutation_entropy, stat_summary
-from eegfx.wavelets import (
-    WaveletDecomposition,
-    dwt,
-    idwt,
-    stft_spectrogram,
-    subband_features,
-)
+from eegfx.time_features import energy, line_length, stat_summary
+from eegfx.wavelets import WaveletDecomposition, dwt, idwt, subband_features
 
 
 def _band_energies(decomp):
@@ -170,63 +164,8 @@ def test_subband_features_names_and_delegation():
         assert table[f"LineLength{band_name}"] == line_length(coeffs)
 
 
-def test_subband_features_accepts_custom_delegates():
-    decomp = dwt(np.random.default_rng(11).standard_normal(512), levels=2)
-    table = subband_features(decomp, features={"PE": permutation_entropy})
-    assert set(table) == {"PED1", "PED2", "PEA2"}
-    assert table["PED1"] == permutation_entropy(decomp.details[0])
-
-
 def test_subband_features_rejects_degenerate_bands():
     decomp = dwt(np.random.default_rng(12).standard_normal(32), levels=5)
     assert decomp.approx.size == 1
     with pytest.raises(ValueError, match="need >= 2"):
         subband_features(decomp)
-
-
-def test_stft_sinusoid_peaks_in_every_slice():
-    fs = 256.0
-    t = np.arange(2048) / fs
-    epoch = Epoch(samples=np.sin(2 * np.pi * 10.0 * t), fs=fs)
-    spec = stft_spectrogram(epoch, win_len=256, hop=128)
-    bin_width = spec.freqs[1] - spec.freqs[0]
-    for row in spec.magnitude:
-        assert abs(spec.freqs[np.argmax(row)] - 10.0) <= bin_width
-
-
-def test_stft_zeros_gives_zero_magnitude():
-    spec = stft_spectrogram(Epoch(samples=np.zeros(1024), fs=256.0))
-    assert np.all(spec.magnitude == 0.0)
-
-
-def test_stft_chirp_peak_sweeps_upward():
-    fs = 256.0
-    t = np.arange(4096) / fs
-    f0, f1 = 4.0, 60.0
-    sweep = np.sin(2 * np.pi * (f0 * t + (f1 - f0) * t**2 / (2 * t[-1])))
-    spec = stft_spectrogram(Epoch(samples=sweep, fs=fs), win_len=256, hop=128)
-    peaks = np.argmax(spec.magnitude, axis=1)
-    assert np.all(np.diff(peaks) >= 0)
-    assert peaks[-1] > peaks[0] + 10
-
-
-def test_stft_geometry():
-    fs = 256.0
-    epoch = Epoch(samples=np.random.default_rng(13).standard_normal(1024), fs=fs, start_time=8.0)
-    spec = stft_spectrogram(epoch, win_len=256, hop=128)
-    assert spec.magnitude.shape == (spec.times.size, spec.freqs.size)
-    assert spec.times.size == 7
-    assert spec.freqs[-1] == fs / 2
-    assert spec.times[0] == pytest.approx(8.0 + 128 / fs)
-    lo, hi = epoch.interval
-    assert np.all((spec.times >= lo) & (spec.times <= hi))
-
-
-def test_stft_rejects_bad_geometry():
-    epoch = Epoch(samples=np.zeros(512), fs=256.0)
-    with pytest.raises(ValueError):
-        stft_spectrogram(epoch, win_len=1024)
-    with pytest.raises(ValueError):
-        stft_spectrogram(epoch, win_len=1)
-    with pytest.raises(ValueError, match="hop"):
-        stft_spectrogram(epoch, win_len=256, hop=0)
