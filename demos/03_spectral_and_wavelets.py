@@ -10,7 +10,6 @@ import numpy as np
 
 from eegfx import (
     Epoch,
-    band_energy,
     dwt,
     idwt,
     iwbw,
@@ -44,8 +43,6 @@ print(f"peak = {peak_hz:g} Hz (FWHM {bandwidth:g} Hz)")
 print(f"IWMF = {iwmf(psd):.2f} Hz, IWBW = {iwbw(psd):.2f} Hz")
 print(f"SEF90 = {sef(psd, 90):.1f} Hz, spectral entropy = "
       f"{spectral_entropy(psd):.3f} nats")
-theta = band_energy(psd, 4.0, 8.0)
-print(f"theta band share = {theta / psd.total_power:.2%}")
 
 # %% [markdown]
 # ## DWT sub-bands

@@ -54,9 +54,7 @@ from eegfx.time_features import (  # noqa: F401
     zero_crossings,
 )
 from eegfx.freq_features import (  # noqa: F401
-    DEFAULT_BANDS,
     Psd,
-    band_energy,
     iwbw,
     iwmf,
     median_frequency,

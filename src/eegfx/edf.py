@@ -7,6 +7,12 @@ samples.  Digital values map to physical units via
     physical = (digital - dig_min) * (phys_max - phys_min)
                                    / (dig_max - dig_min) + phys_min
 
+The header layout is described once, as two tables of
+``(attribute, width, field name, type)``: ``_HEADER_FIELDS`` for the
+fixed header and ``_SIGNAL_FIELDS`` for the per-signal block.  The
+reader and the writer both walk those tables, so a field's position,
+width, type and the name its error messages use live in one place.
+
 The writer quantizes against the physical range *as re-parsed from the
 8-character ASCII header fields it writes*, so a read/write/read cycle
 reproduces sample values bit-exactly.
@@ -102,25 +108,57 @@ class EdfHeader:
         return sum(s.samples_per_record for s in self.signals)
 
 
-def _ascii(raw: bytes, what: str) -> str:
+# Fields in file order; a None attribute is a reserved field, written
+# blank and never read.  Per-signal fields are stored as ns consecutive
+# copies of each field, not ns consecutive signal blocks.
+_HEADER_FIELDS = (
+    ("version", 8, "version", str),
+    ("patient", 80, "patient", str),
+    ("recording", 80, "recording", str),
+    ("start_date", 8, "start date", str),
+    ("start_time", 8, "start time", str),
+    ("header_bytes", 8, "header size", int),
+    (None, 44, "reserved", str),
+    ("n_records", 8, "record count", int),
+    ("record_duration_s", 8, "record duration", float),
+    ("n_signals", 4, "signal count", int),
+)
+_SIGNAL_FIELDS = (
+    ("label", 16, "label", str),
+    ("transducer", 80, "transducer", str),
+    ("physical_dim", 8, "physical dimension", str),
+    ("physical_min", 8, "physical minimum", float),
+    ("physical_max", 8, "physical maximum", float),
+    ("digital_min", 8, "digital minimum", int),
+    ("digital_max", 8, "digital maximum", int),
+    ("prefiltering", 80, "prefiltering", str),
+    ("samples_per_record", 8, "samples per record", int),
+    (None, 32, "reserved", str),
+)
+
+
+def _parse_field(raw: bytes, kind: type, what: str):
     try:
-        return raw.decode("ascii").strip()
+        text = raw.decode("ascii").strip()
     except UnicodeDecodeError:
         raise ValueError(f"non-ASCII bytes in EDF {what} field") from None
-
-
-def _int(text: str, what: str) -> int:
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise ValueError(f"EDF {what} field is not an integer: {text!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"EDF {what} field is not {noun}: {text!r}") from None
 
 
-def _float(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"EDF {what} field is not a number: {text!r}") from None
+def _parse_fields(raw: bytes, fields, count: int = 1) -> list[dict]:
+    """Decode ``count`` interleaved copies of ``fields`` into attribute dicts."""
+    parsed = [{} for _ in range(count)]
+    offset = 0
+    for attr, width, what, kind in fields:
+        for values in parsed:
+            if attr is not None:
+                values[attr] = _parse_field(raw[offset : offset + width], kind, what)
+            offset += width
+    return parsed
 
 
 def _read_exact(handle, count: int, what: str) -> bytes:
@@ -133,68 +171,20 @@ def _read_exact(handle, count: int, what: str) -> bytes:
     return raw
 
 
-def _parse_header(raw: bytes, signal_raw: bytes, n_signals: int) -> EdfHeader:
-    # Per-signal fields are stored as ns consecutive copies of each field,
-    # not ns consecutive signal blocks.
-    widths = ((16, "label"), (80, "transducer"), (8, "physical dimension"),
-              (8, "physical minimum"), (8, "physical maximum"),
-              (8, "digital minimum"), (8, "digital maximum"),
-              (80, "prefiltering"), (8, "samples per record"), (32, "reserved"))
-    columns = []
-    offset = 0
-    for width, what in widths:
-        block = signal_raw[offset : offset + width * n_signals]
-        columns.append(
-            [_ascii(block[i * width : (i + 1) * width], what) for i in range(n_signals)]
-        )
-        offset += width * n_signals
-    labels, transducers, dims, pmins, pmaxs, dmins, dmaxs, prefilters, sprs, _ = columns
-
-    signals = []
-    for i in range(n_signals):
-        dig_min = _int(dmins[i], "digital minimum")
-        dig_max = _int(dmaxs[i], "digital maximum")
-        if dig_min == dig_max:
-            raise ValueError(
-                f"signal {labels[i]!r} has zero digital range ({dig_min} .. {dig_max})"
-            )
-        signals.append(
-            EdfSignal(
-                label=labels[i],
-                transducer=transducers[i],
-                physical_dim=dims[i],
-                physical_min=_float(pmins[i], "physical minimum"),
-                physical_max=_float(pmaxs[i], "physical maximum"),
-                digital_min=dig_min,
-                digital_max=dig_max,
-                prefiltering=prefilters[i],
-                samples_per_record=_int(sprs[i], "samples per record"),
-            )
-        )
-    return EdfHeader(
-        version=_ascii(raw[0:8], "version"),
-        patient=_ascii(raw[8:88], "patient"),
-        recording=_ascii(raw[88:168], "recording"),
-        start_date=_ascii(raw[168:176], "start date"),
-        start_time=_ascii(raw[176:184], "start time"),
-        n_records=_int(_ascii(raw[236:244], "record count"), "record count"),
-        record_duration_s=_float(
-            _ascii(raw[244:252], "record duration"), "record duration"
-        ),
-        signals=tuple(signals),
-    )
-
-
 def read_edf_header(path: str | Path) -> EdfHeader:
     """Parse and validate the header of an EDF file."""
     with open(path, "rb") as handle:
-        raw = _read_exact(handle, 256, "header")
-        n_signals = _int(_ascii(raw[252:256], "signal count"), "signal count")
+        (fixed,) = _parse_fields(_read_exact(handle, 256, "header"), _HEADER_FIELDS)
+        n_signals = fixed.pop("n_signals")
         if n_signals < 1:
             raise ValueError(f"EDF header declares {n_signals} signals")
-        signal_raw = _read_exact(handle, 256 * n_signals, "signal headers")
-    header = _parse_header(raw, signal_raw, n_signals)
-    declared = _int(_ascii(raw[184:192], "header size"), "header size")
+        signals = _parse_fields(
+            _read_exact(handle, 256 * n_signals, "signal headers"),
+            _SIGNAL_FIELDS,
+            n_signals,
+        )
+    declared = fixed.pop("header_bytes")
+    header = EdfHeader(**fixed, signals=tuple(EdfSignal(**s) for s in signals))
     if declared != header.header_bytes:
         raise ValueError(
             f"EDF header size field says {declared} bytes, "
@@ -251,13 +241,19 @@ def read_edf(path: str | Path) -> Record:
     )
 
 
-def _format_field(value, width: int, what: str) -> bytes:
-    text = str(value)
-    if len(text) > width:
-        raise ValueError(f"EDF {what} field {text!r} exceeds {width} characters")
-    if not text.isascii():
-        raise ValueError(f"EDF {what} field {text!r} is not ASCII")
-    return text.ljust(width).encode("ascii")
+def _format_fields(items, fields) -> bytes:
+    """Encode ``fields`` of each item, field by field, as ASCII columns."""
+    parts = []
+    for attr, width, what, kind in fields:
+        for item in items:
+            value = "" if attr is None else getattr(item, attr)
+            text = _format_range(value, what) if kind is float else str(value)
+            if len(text) > width:
+                raise ValueError(f"EDF {what} field {text!r} exceeds {width} characters")
+            if not text.isascii():
+                raise ValueError(f"EDF {what} field {text!r} is not ASCII")
+            parts.append(text.ljust(width).encode("ascii"))
+    return b"".join(parts)
 
 
 def _format_range(value: float, what: str) -> str:
@@ -308,7 +304,7 @@ def write_edf(
     path = Path(path)
     n_records, spr, duration = _record_shape(record.n_samples, record.fs)
 
-    ranges = []
+    signals = []
     for row, channel in enumerate(record.channels):
         if physical_range is None:
             lo = float(np.floor(record.data[row].min()))
@@ -321,19 +317,14 @@ def write_edf(
             lo, hi = physical_range  # one pair for every channel
         else:
             lo, hi = physical_range[row]
-        text_lo = _format_range(float(lo), "physical minimum")
-        text_hi = _format_range(float(hi), "physical maximum")
-        ranges.append((float(text_lo), float(text_hi)))
-
-    signals = tuple(
-        EdfSignal(
-            label=channel,
-            physical_min=lo,
-            physical_max=hi,
-            samples_per_record=spr,
+        signals.append(
+            EdfSignal(
+                label=channel,
+                physical_min=float(_format_range(float(lo), "physical minimum")),
+                physical_max=float(_format_range(float(hi), "physical maximum")),
+                samples_per_record=spr,
+            )
         )
-        for channel, (lo, hi) in zip(record.channels, ranges)
-    )
     header = EdfHeader(
         version="0",
         patient=patient,
@@ -360,33 +351,9 @@ def write_edf(
         digital[:, offset : offset + spr] = codes.reshape(n_records, spr)
         offset += spr
 
-    parts = [
-        _format_field(header.version, 8, "version"),
-        _format_field(header.patient, 80, "patient"),
-        _format_field(header.recording, 80, "recording"),
-        _format_field(header.start_date, 8, "start date"),
-        _format_field(header.start_time, 8, "start time"),
-        _format_field(header.header_bytes, 8, "header size"),
-        _format_field("", 44, "reserved"),
-        _format_field(header.n_records, 8, "record count"),
-        _format_field(_format_range(duration, "record duration"), 8, "record duration"),
-        _format_field(header.n_signals, 4, "signal count"),
-    ]
-    per_signal = (
-        ("label", 16, lambda s: s.label),
-        ("transducer", 80, lambda s: s.transducer),
-        ("physical dimension", 8, lambda s: s.physical_dim),
-        ("physical minimum", 8, lambda s: _format_range(s.physical_min, "physical minimum")),
-        ("physical maximum", 8, lambda s: _format_range(s.physical_max, "physical maximum")),
-        ("digital minimum", 8, lambda s: s.digital_min),
-        ("digital maximum", 8, lambda s: s.digital_max),
-        ("prefiltering", 80, lambda s: s.prefiltering),
-        ("samples per record", 8, lambda s: s.samples_per_record),
-        ("reserved", 32, lambda s: ""),
+    path.write_bytes(
+        _format_fields([header], _HEADER_FIELDS)
+        + _format_fields(header.signals, _SIGNAL_FIELDS)
+        + digital.tobytes()
     )
-    for what, width, getter in per_signal:
-        for sig in header.signals:
-            parts.append(_format_field(getter(sig), width, what))
-
-    path.write_bytes(b"".join(parts) + digital.tobytes())
     return header

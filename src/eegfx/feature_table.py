@@ -2,25 +2,23 @@
 
 Schema: ``record,epoch_start_s,label,<feature columns...>`` with label
 1 for seizure epochs and 0 for normal ones.  Floats are written with 9
-significant digits, so identical tables serialize byte-identically.
+significant digits (``%.9g``), so identical tables serialize
+byte-identically.  Both directions work on the whole table at once:
+``to_csv`` applies one row template to every row, and ``read_csv``
+checks the header and each row's cell count, then parses all numeric
+columns in one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = ["FeatureTable"]
 
 _FIXED_COLUMNS = ("record", "epoch_start_s", "label")
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,7 @@ class FeatureTable:
     def __post_init__(self) -> None:
         records = tuple(str(r) for r in self.records)
         starts = np.asarray(self.epoch_starts, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         names = tuple(str(n) for n in self.feature_names)
         values = np.asarray(self.values, dtype=np.float64)
         n = len(records)
@@ -46,8 +44,9 @@ class FeatureTable:
             raise ValueError("records, epoch_starts and labels must align")
         if n == 0:
             raise ValueError("feature table needs at least one epoch row")
-        if not set(np.unique(labels)) <= {0, 1}:
+        if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0 (normal) or 1 (seizure)")
+        labels = labels.astype(np.int64)
         if len(set(names)) != len(names):
             raise ValueError("duplicate feature column names")
         for banned in names + records:
@@ -82,38 +81,14 @@ class FeatureTable:
         return col[self.labels == 1], col[self.labels == 0]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(_FIXED_COLUMNS + self.feature_names))
-        buf.write("\n")
-        for i, record in enumerate(self.records):
-            row = [record, _fmt(self.epoch_starts[i]), str(int(self.labels[i]))]
-            row.extend(_fmt(v) for v in self.values[i])
-            buf.write(",".join(row))
-            buf.write("\n")
-        return buf.getvalue()
+        row = "%s,%.9g,%d" + ",%.9g" * len(self.feature_names)
+        numbers = np.column_stack([self.epoch_starts, self.labels, self.values]).tolist()
+        lines = [",".join(_FIXED_COLUMNS + self.feature_names)]
+        lines.extend(row % (record, *cells) for record, cells in zip(self.records, numbers))
+        return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str | Path) -> None:
         Path(path).write_text(self.to_csv(), encoding="ascii", newline="")
-
-    @classmethod
-    def from_rows(
-        cls,
-        feature_names: Sequence[str],
-        rows: Iterable[tuple[str, float, int, Sequence[float]]],
-    ) -> "FeatureTable":
-        records, starts, labels, values = [], [], [], []
-        for record, start, label, feats in rows:
-            records.append(record)
-            starts.append(start)
-            labels.append(label)
-            values.append(np.asarray(feats, dtype=np.float64))
-        return cls(
-            records=tuple(records),
-            epoch_starts=np.array(starts, dtype=np.float64),
-            labels=np.array(labels, dtype=np.int64),
-            feature_names=tuple(feature_names),
-            values=np.vstack(values) if values else np.empty((0, len(feature_names))),
-        )
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "FeatureTable":
@@ -123,13 +98,23 @@ class FeatureTable:
         header = lines[0].split(",")
         if tuple(header[: len(_FIXED_COLUMNS)]) != _FIXED_COLUMNS:
             raise ValueError(f"{path}: header must start with {','.join(_FIXED_COLUMNS)}")
-        names = tuple(header[len(_FIXED_COLUMNS) :])
-        rows = []
-        for ln, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"{path}:{ln}: expected {len(header)} cells, got {len(cells)}")
-            rows.append(
-                (cells[0], float(cells[1]), int(cells[2]), [float(c) for c in cells[3:]])
+        rows = lines[1:]
+        if not rows:
+            raise ValueError(f"{path}: feature table needs at least one epoch row")
+        for ln, line in enumerate(rows, start=2):
+            cells = line.count(",") + 1
+            if cells != len(header):
+                raise ValueError(f"{path}:{ln}: expected {len(header)} cells, got {cells}")
+        try:
+            numbers = np.loadtxt(
+                rows, delimiter=",", usecols=range(1, len(header)), comments=None, ndmin=2
             )
-        return cls.from_rows(names, rows)
+            return cls(
+                records=tuple(line[: line.index(",")] for line in rows),
+                epoch_starts=numbers[:, 0],
+                labels=numbers[:, 1],
+                feature_names=tuple(header[len(_FIXED_COLUMNS) :]),
+                values=numbers[:, 2:],
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 import scipy.signal
@@ -19,24 +18,13 @@ from eegfx.signals import Epoch
 __all__ = [
     "Psd",
     "psd_welch",
-    "band_energy",
     "iwmf",
     "iwbw",
     "sef",
     "median_frequency",
     "spectral_entropy",
     "peak_frequency",
-    "DEFAULT_BANDS",
 ]
-
-# delta/theta/alpha/beta/gamma (Hz); configurable, not fixed by the method
-DEFAULT_BANDS: Mapping[str, tuple[float, float]] = {
-    "delta": (0.5, 4.0),
-    "theta": (4.0, 8.0),
-    "alpha": (8.0, 13.0),
-    "beta": (13.0, 30.0),
-    "gamma": (30.0, 50.0),
-}
 
 _WELCH_SEGMENT = 256
 _WELCH_OVERLAP = 0.5
@@ -95,26 +83,6 @@ def psd_welch(epoch: Epoch, segment: int = _WELCH_SEGMENT) -> Psd:
     )
     # rounding noise in the FFT can leave tiny negative values
     return Psd(freqs=freqs, power=np.maximum(power, 0.0))
-
-
-def _band_mask(psd: Psd, lo_hz: float, hi_hz: float) -> np.ndarray:
-    top = psd.freqs[-1]
-    if not 0.0 <= lo_hz < hi_hz:
-        raise ValueError(f"need 0 <= lo < hi, got [{lo_hz}, {hi_hz})")
-    if hi_hz > top * (1 + 1e-12):
-        raise ValueError(f"band edge {hi_hz} Hz beyond Nyquist {top} Hz")
-    mask = (psd.freqs >= lo_hz) & (psd.freqs < hi_hz)
-    if hi_hz >= top:
-        # close the top edge so bands tiling [0, nyquist] cover every bin
-        mask |= psd.freqs == top
-    if not mask.any():
-        raise ValueError(f"no PSD bins inside [{lo_hz}, {hi_hz}) Hz")
-    return mask
-
-
-def band_energy(psd: Psd, lo_hz: float, hi_hz: float) -> float:
-    """Summed power over bins with lo <= f < hi (top edge closed at Nyquist)."""
-    return float(psd.power[_band_mask(psd, lo_hz, hi_hz)].sum())
 
 
 def _normalized(psd: Psd) -> np.ndarray:

@@ -215,11 +215,6 @@ def extract(record: Record, config: RunConfig | None = None) -> FeatureTable:
     channels = montage.all_channels
     epochs = segment(record, config.width_s, config.stride_s)
     n_epochs = len(epochs[channels[0]])
-    if n_epochs == 0:
-        raise ValueError(
-            f"record {record.duration} s is shorter than one "
-            f"{config.width_s} s epoch"
-        )
 
     readers = [_REGISTRY[name] for name in names]
 

@@ -221,3 +221,55 @@ class TestHeaderTypes:
             digital_min=-1000, digital_max=1000, samples_per_record=4,
         )
         assert sig.gain == pytest.approx(0.1)
+
+
+class TestHeaderLayout:
+    def test_two_channel_header_bytes_and_read_back(self, tmp_path):
+        record = Record(
+            channels=("Fp1", "C4"),
+            data=np.vstack([np.linspace(-50.0, 50.0, 8), np.linspace(0.0, 2.0, 8)]),
+            fs=4.0,
+        )
+        f = tmp_path / "a.edf"
+        written = write_edf(
+            record, f, physical_range=[(-100.0, 100.0), (-0.5, 2.25)],
+            patient="anon", recording="sess 1",
+            start_date="02.03.04", start_time="05.06.07",
+        )
+
+        def field(text, width):
+            return text.ljust(width).encode("ascii")
+
+        fixed = (
+            field("0", 8) + field("anon", 80) + field("sess 1", 80)
+            + field("02.03.04", 8) + field("05.06.07", 8) + field("768", 8)
+            + field("", 44) + field("2", 8) + field("1", 8) + field("2", 4)
+        )
+        per_signal = (
+            field("Fp1", 16) + field("C4", 16)
+            + field("", 80) * 2
+            + field("uV", 8) * 2
+            + field("-100", 8) + field("-0.5", 8)
+            + field("100", 8) + field("2.25", 8)
+            + field("-32768", 8) * 2
+            + field("32767", 8) * 2
+            + field("", 80) * 2
+            + field("4", 8) * 2
+            + field("", 32) * 2
+        )
+        raw = f.read_bytes()
+        assert len(fixed) == 256 and len(per_signal) == 512
+        assert raw[:768] == fixed + per_signal
+        assert len(raw) == 768 + 2 * 2 * 8
+
+        header = read_edf_header(f)
+        assert header == written
+        assert (header.version, header.patient, header.recording) == ("0", "anon", "sess 1")
+        assert (header.start_date, header.start_time) == ("02.03.04", "05.06.07")
+        assert (header.n_records, header.record_duration_s) == (2, 1.0)
+        assert header.signals == (
+            EdfSignal(label="Fp1", physical_min=-100.0, physical_max=100.0,
+                      samples_per_record=4),
+            EdfSignal(label="C4", physical_min=-0.5, physical_max=2.25,
+                      samples_per_record=4),
+        )

@@ -147,10 +147,56 @@ def test_read_csv_diagnostics(tmp_path):
         FeatureTable.read_csv(ragged)
 
 
-def test_from_rows_matches_direct_construction():
-    table = FeatureTable.from_rows(
-        ("F",),
-        [("a", 0.0, 1, [2.0]), ("b", 1.0, 0, [3.0])],
+_SPECIAL_CSV = (
+    "record,epoch_start_s,label,F,G,H,I,J\n"
+    "a,0,1,nan,inf,-inf,-0,123456789\n"
+    "b,2.5,0,1e+21,4.94065646e-324,1.79769313e+308,0.123456789,-1.23456789e-05\n"
+)
+
+
+def test_special_values_format_and_read_back_bit_exactly(tmp_path):
+    table = FeatureTable(
+        records=("a", "b"),
+        epoch_starts=np.array([0.0, 2.5]),
+        labels=np.array([1, 0]),
+        feature_names=("F", "G", "H", "I", "J"),
+        values=np.array(
+            [
+                [np.nan, np.inf, -np.inf, -0.0, 123456789.0],
+                [1e21, 5e-324, np.finfo(np.float64).max, 0.123456789, -1.23456789e-5],
+            ]
+        ),
     )
-    assert table.records == ("a", "b")
-    assert np.array_equal(table.column("F"), [2.0, 3.0])
+    assert table.to_csv() == _SPECIAL_CSV
+    path = tmp_path / "special.csv"
+    table.write_csv(path)
+    assert path.read_text() == _SPECIAL_CSV
+    back = FeatureTable.read_csv(path)
+    assert back.records == ("a", "b")
+    assert back.feature_names == ("F", "G", "H", "I", "J")
+    assert back.labels.tolist() == [1, 0]
+    assert back.epoch_starts.tobytes() == np.array([0.0, 2.5]).tobytes()
+    # Every cell reads back as Python's float() of its text, bit for bit:
+    # -0.0 keeps its sign and the largest float rounds to 9 digits.
+    cells = [line.split(",")[3:] for line in _SPECIAL_CSV.splitlines()[1:]]
+    expected = np.array([[float(c) for c in row] for row in cells])
+    assert back.values.tobytes() == expected.tobytes()
+    assert np.signbit(back.values[0, 3])
+    assert back.to_csv() == _SPECIAL_CSV
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("record,epoch_start_s,label,F\nr,0,1,2\nr,1,0\n", r"bad\.csv:3: expected 4 cells"),
+        ("record,epoch_start_s,label,F\nr,0,1,abc\n", "could not convert"),
+        ("record,epoch_start_s,label,F\nr,0,1.5,2\n", None),
+        ("record,epoch_start_s,label,F\n", "at least one"),
+    ],
+    ids=["ragged", "non-numeric", "non-integer-label", "header-only"],
+)
+def test_read_csv_rejects_malformed_tables(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        FeatureTable.read_csv(path)

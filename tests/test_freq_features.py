@@ -5,7 +5,6 @@ import pytest
 
 from eegfx.freq_features import (
     Psd,
-    band_energy,
     iwbw,
     iwmf,
     median_frequency,
@@ -94,35 +93,6 @@ def test_welch_zeros_gives_zero_total_power():
 def test_welch_rejects_short_epochs():
     with pytest.raises(ValueError, match="welch needs"):
         psd_welch(Epoch(samples=np.zeros(255), fs=256.0))
-
-
-def test_band_energy_full_band_is_total_power():
-    rng = np.random.default_rng(3)
-    psd = psd_welch(Epoch(samples=rng.standard_normal(1024), fs=256.0))
-    assert band_energy(psd, 0.0, psd.nyquist) == pytest.approx(psd.total_power, rel=1e-12)
-
-
-def test_band_energy_partition_sums_to_total():
-    rng = np.random.default_rng(4)
-    psd = psd_welch(Epoch(samples=rng.standard_normal(1024), fs=256.0))
-    edges = [0.0, 0.5, 4.0, 8.0, 13.0, 30.0, 50.0, psd.nyquist]
-    total = sum(band_energy(psd, lo, hi) for lo, hi in zip(edges, edges[1:]))
-    assert total == pytest.approx(psd.total_power, rel=1e-9)
-
-
-def test_band_energy_concentrates_on_sinusoid():
-    psd = psd_welch(_sine_epoch(10.0))
-    assert band_energy(psd, 8.0, 12.0) / psd.total_power >= 0.9
-
-
-def test_band_energy_rejects_bad_bands():
-    psd = _point_mass(10)
-    with pytest.raises(ValueError):
-        band_energy(psd, 12.0, 8.0)
-    with pytest.raises(ValueError):
-        band_energy(psd, 0.0, 200.0)
-    with pytest.raises(ValueError, match="no PSD bins"):
-        band_energy(psd, 4.2, 4.8)
 
 
 def test_iwmf_point_mass():
