@@ -2,7 +2,8 @@
 
 Every feature consumes a :class:`Psd` and treats the normalized power
 vector (power divided by total power) as a probability mass over the
-frequency grid.
+frequency grid.  A batch :class:`Psd` (:func:`welch` of a matrix) gets
+one value per row, as the 1-D call computes it, NaN where that raises.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from eegfx.signals import Epoch
 __all__ = [
     "Psd",
     "psd_welch",
+    "welch",
     "iwmf",
     "iwbw",
     "sef",
@@ -32,12 +34,13 @@ _WELCH_OVERLAP = 0.5
 
 @dataclass(frozen=True)
 class Psd:
-    """One-sided power spectral density estimate.
+    """One-sided power spectral density estimate, or a batch of them.
 
     ``freqs`` runs strictly increasing from 0 Hz to the Nyquist
-    frequency; ``power`` holds one nonnegative value per bin.
-    ``total_power`` is derived (sum of ``power``), not a constructor
-    argument.
+    frequency; ``power`` holds one nonnegative value per bin, or one
+    such row per signal.  A batch row of NaN is a spectrum that
+    overflowed, undefined.  ``total_power`` is derived (sum of
+    ``power`` along its last axis), not a constructor argument.
     """
 
     freqs: np.ndarray
@@ -47,60 +50,72 @@ class Psd:
     def __post_init__(self) -> None:
         freqs = np.asarray(self.freqs, dtype=np.float64)
         power = np.asarray(self.power, dtype=np.float64)
-        if freqs.ndim != 1 or freqs.shape != power.shape or freqs.size < 2:
+        if freqs.ndim != 1 or power.ndim > 2 or freqs.shape != power.shape[-1:] or freqs.size < 2:
             raise ValueError("freqs and power must be matching 1-D vectors (>= 2 bins)")
         if freqs[0] != 0.0 or np.any(np.diff(freqs) <= 0):
             raise ValueError("frequency grid must increase strictly from 0")
-        if not np.all(np.isfinite(power)) or np.any(power < 0):
+        undefined = np.isnan(power) if power.ndim == 2 else False
+        if np.any(power < 0) or not np.all(np.isfinite(power) | undefined):
             raise ValueError("power must be finite and nonnegative")
         freqs.flags.writeable = False
         power.flags.writeable = False
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "total_power", float(power.sum()))
+        total = power.sum(axis=-1)
+        object.__setattr__(self, "total_power", total if power.ndim == 2 else float(total))
 
     @property
     def nyquist(self) -> float:
         return float(self.freqs[-1])
 
 
-def psd_welch(epoch: Epoch, segment: int = _WELCH_SEGMENT) -> Psd:
-    """Welch PSD: Hamming window, ``segment``-sample segments, 50% overlap.
-
-    One-sided estimate.  The epoch must be at least one segment long.
-    """
-    n = epoch.samples.size
+def welch(samples, fs: float, segment: int = _WELCH_SEGMENT) -> Psd:
+    """One-sided Welch PSD of a signal or of each row of a matrix: Hamming
+    window, ``segment``-sample segments, 50% overlap; signals must be at
+    least one segment long.  A row whose power overflows is NaN in a batch;
+    a 1-D signal raises."""
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.shape[-1]
     if segment < 4:
         raise ValueError(f"welch segment must be >= 4 samples, got {segment}")
     if n < segment:
         raise ValueError(f"epoch has {n} samples, welch needs >= {segment}")
     freqs, power = scipy.signal.welch(
-        epoch.samples,
-        fs=epoch.fs,
+        samples,
+        fs=fs,
         window="hamming",
         nperseg=segment,
         noverlap=int(segment * _WELCH_OVERLAP),
+        axis=-1,
     )
     # rounding noise in the FFT can leave tiny negative values
-    return Psd(freqs=freqs, power=np.maximum(power, 0.0))
+    power = np.maximum(power, 0.0)
+    overflow = ~np.isfinite(power).all(axis=-1, keepdims=True)
+    return Psd(freqs=freqs, power=np.where(overflow, math.nan, power))
+
+
+def psd_welch(epoch: Epoch, segment: int = _WELCH_SEGMENT) -> Psd:
+    """Welch PSD of one epoch; see :func:`welch`."""
+    return welch(epoch.samples, epoch.fs, segment)
 
 
 def _normalized(psd: Psd) -> np.ndarray:
-    if psd.total_power <= 0.0:
+    if psd.power.ndim == 1 and psd.total_power <= 0.0:
         raise ValueError("zero total power, spectral features undefined")
-    return psd.power / psd.total_power
+    with np.errstate(invalid="ignore"):  # a zero-power batch row is 0/0: NaN
+        return psd.power / psd.power.sum(axis=-1, keepdims=True)
 
 
 def iwmf(psd: Psd) -> float:
     """Intensity weighted mean frequency: mean of the normalized PSD."""
-    return float(_normalized(psd) @ psd.freqs)
+    return np.vecdot(_normalized(psd), psd.freqs)
 
 
 def iwbw(psd: Psd) -> float:
     """Intensity weighted bandwidth: SD of the normalized PSD."""
     p = _normalized(psd)
-    mu = float(p @ psd.freqs)
-    return math.sqrt(float(p @ (psd.freqs - mu) ** 2))
+    mu = np.vecdot(p, psd.freqs)
+    return np.sqrt(np.vecdot(p, (psd.freqs - mu[..., None]) ** 2))
 
 
 def sef(psd: Psd, alpha: float) -> float:
@@ -111,10 +126,10 @@ def sef(psd: Psd, alpha: float) -> float:
     """
     if not 0.0 < alpha <= 100.0:
         raise ValueError(f"alpha must be in (0, 100], got {alpha}")
-    cum = np.cumsum(_normalized(psd))
-    idx = int(np.searchsorted(cum, alpha / 100.0 - 1e-12))
-    idx = min(idx, cum.size - 1)  # guards cumulative rounding at alpha=100
-    return float(psd.freqs[idx])
+    cum = np.cumsum(_normalized(psd), axis=-1)
+    idx = (cum < alpha / 100.0 - 1e-12).sum(axis=-1)
+    idx = np.minimum(idx, cum.shape[-1] - 1)  # guards cumulative rounding at alpha=100
+    return psd.freqs[idx] + 0.0 * cum[..., -1]  # + 0, or NaN on an undefined row
 
 
 def median_frequency(psd: Psd) -> float:
@@ -125,31 +140,35 @@ def median_frequency(psd: Psd) -> float:
 def spectral_entropy(psd: Psd) -> float:
     """Shannon entropy of the normalized PSD in nats, 0 ln 0 := 0."""
     p = _normalized(psd)
-    p = p[p > 0]
-    return float(-(p @ np.log(p)))
+    with np.errstate(invalid="ignore"):
+        log_p = np.log(np.where(p > 0, p, 1.0))
+    return -np.vecdot(p, log_p)
 
 
-def _half_max_edges(freqs: np.ndarray, power: np.ndarray, peak: int) -> tuple[float, float]:
-    # walk outward to the half-maximum crossings; clip at the spectrum edge
-    half = power[peak] / 2.0
-    i = peak
-    while i > 0 and power[i - 1] >= half:
-        i -= 1
-    if i == 0:
-        left = float(freqs[0])
-    else:
-        frac = (half - power[i - 1]) / (power[i] - power[i - 1])
-        left = float(freqs[i - 1] + frac * (freqs[i] - freqs[i - 1]))
-    i = peak
+def _dominant_peak(freqs: np.ndarray, power: np.ndarray) -> tuple[float, float]:
+    peaks, _ = scipy.signal.find_peaks(power)
+    if peaks.size == 0:
+        peaks = np.array([int(np.argmax(power))])
+    # walk outward to the half-maximum crossings, all peaks at once: the
+    # walk stops at the nearest bin below half power; clip at the edges
     n = power.size
-    while i < n - 1 and power[i + 1] >= half:
-        i += 1
-    if i == n - 1:
-        right = float(freqs[-1])
-    else:
-        frac = (power[i] - half) / (power[i] - power[i + 1])
-        right = float(freqs[i] + frac * (freqs[i + 1] - freqs[i]))
-    return left, right
+    half = power[peaks] / 2.0
+    below = power < half[:, None]
+    bins = np.arange(n)
+    i = np.where(below & (bins < peaks[:, None]), bins, -1).max(axis=1) + 1
+    j = np.where(below & (bins > peaks[:, None]), bins, n).min(axis=1) - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (half - power[i - 1]) / (power[i] - power[i - 1])
+        left = np.where(i == 0, freqs[0], freqs[i - 1] + frac * (freqs[i] - freqs[i - 1]))
+        k = np.minimum(j + 1, n - 1)
+        frac = (power[j] - half) / (power[j] - power[k])
+        right = np.where(j == n - 1, freqs[-1], freqs[j] + frac * (freqs[k] - freqs[j]))
+    # each peak's band is the contiguous run of bins inside its FWHM
+    lo = np.searchsorted(freqs, left, side="left")
+    hi = np.searchsorted(freqs, right, side="right")
+    scores = [power[a:b].mean() for a, b in zip(lo, hi)]
+    best = int(np.argmax(scores))
+    return float(freqs[peaks[best]]), float(right[best] - left[best])
 
 
 def peak_frequency(psd: Psd) -> tuple[float, float]:
@@ -158,21 +177,11 @@ def peak_frequency(psd: Psd) -> tuple[float, float]:
     Candidate peaks are the local maxima of the PSD (the global maximum
     when the spectrum is monotone).  Each candidate is scored by its
     average power over its own FWHM band; the best-scoring peak wins.
-    Returns ``(peak_hz, bandwidth_hz)``.
+    Returns ``(peak_hz, bandwidth_hz)``, arrays for a batch.
     """
-    _normalized(psd)  # rejects zero-power spectra
-    power = psd.power
-    freqs = psd.freqs
-    peaks, _ = scipy.signal.find_peaks(power)
-    if peaks.size == 0:
-        peaks = np.array([int(np.argmax(power))])
-    best_score = -math.inf
-    best: tuple[float, float] = (float(freqs[peaks[0]]), 0.0)
-    for idx in peaks:
-        left, right = _half_max_edges(freqs, power, int(idx))
-        band = (freqs >= left) & (freqs <= right)
-        score = float(power[band].mean())
-        if score > best_score:
-            best_score = score
-            best = (float(freqs[idx]), right - left)
-    return best
+    defined = ~np.isnan(_normalized(psd)[..., :1])  # rejects a zero-power spectrum
+    peaks = [
+        _dominant_peak(psd.freqs, power) if ok else (math.nan, math.nan)
+        for power, ok in zip(np.atleast_2d(psd.power), np.atleast_2d(defined)[:, 0])
+    ]
+    return peaks[0] if psd.power.ndim == 1 else tuple(np.array(peaks).T)

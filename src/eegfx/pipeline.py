@@ -6,23 +6,21 @@ base feature becomes two columns, ``<Name>L`` and ``<Name>R``.  Rows
 are epochs in time order, labeled seizure when annotations cover more
 than half the window.
 
-One registry maps each base feature name to a ``(source, reader)``
-pair.  A source is an intermediate of one channel epoch that several
-features share: the samples, their moments, the full ``stat_summary``,
-Hjorth parameters, the fused ApEn/SampEn template counts, the Welch PSD
-and its dominant peak, or the DWT band table.  Each source is computed
-at most once per epoch, and only when a requested feature reads it; a
-reader turns the source into one float.  ``FEATURE_CATALOG`` is the
-registry's key set.
+Each channel is cut into one zero-copy (n_epochs, width) matrix of its
+epochs.  One registry maps each base feature name to a ``(source,
+reader)`` pair.  A source is computed down the whole matrix, at most
+once per channel and only when a requested feature reads it: the
+matrix, its moments, Hjorth parameters, Welch PSD, dominant peaks or
+DWT band table, or per-row ``stat_summary`` or ApEn/SampEn counts.  A
+reader turns a source into a column, each row equal to the 1-D public
+function on that epoch.  ``FEATURE_CATALOG`` is the registry's key set.
 
-A feature that is undefined for some epoch yields NaN in that cell
-rather than failing the run: a reader that raises ``ValueError``
-(zero-power spectrum, no template match at m+1) and a Hjorth, template
-or peak source that raises it (constant signal) give NaN cells.  Any
-other source's ``ValueError`` is structural -- an epoch shorter than
-the Welch segment or too short for the DWT depth -- and aborts the run.
-A side mean is NaN wherever one of its channels is not finite;
-downstream evaluation skips such columns.
+A feature undefined on an epoch gives a NaN cell exactly where its 1-D
+function raises ``ValueError`` (constant signal, zero-power spectrum,
+no template match at m+1).  A non-finite sample in a montage channel,
+or an epoch shorter than the Welch segment or the DWT depth, aborts the
+run before any feature is computed.  A side mean is NaN wherever one of
+its channels is not finite; downstream evaluation skips such columns.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from operator import attrgetter, itemgetter
 from typing import Any, Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import time_features as tf
 from .config import RunConfig
@@ -45,11 +44,11 @@ from .freq_features import (
     iwmf,
     median_frequency,
     peak_frequency,
-    psd_welch,
     sef,
     spectral_entropy,
+    welch,
 )
-from .signals import Epoch, EpochLabel, Montage, Record, label_epoch, segment
+from .signals import EpochLabel, Montage, Record, label_epoch, window_counts
 from .wavelets import dwt, subband_features
 
 __all__ = ["DEFAULT_FEATURES", "FEATURE_CATALOG", "extract"]
@@ -72,77 +71,74 @@ DEFAULT_FEATURES: tuple[str, ...] = (
 ) + tuple(f"{feat}{band}" for band in _BAND_NAMES for feat in _BAND_FEATURES)
 
 
-def _peak(psd: Psd) -> tuple[float, float]:
-    """(frequency, power) of the PSD's dominant peak."""
+def _peak(psd: Psd) -> tuple[np.ndarray, np.ndarray]:
+    """(frequency, power) of each PSD row's dominant peak, NaN where undefined."""
     peak_hz, _ = peak_frequency(psd)
-    return peak_hz, psd.power[np.searchsorted(psd.freqs, peak_hz)]
+    padded = np.pad(psd.power, ((0, 0), (0, 1)), constant_values=math.nan)  # NaN sorts last
+    return peak_hz, padded[np.arange(peak_hz.size), np.searchsorted(psd.freqs, peak_hz)]
 
 
-class _Sources(dict):
-    """One channel epoch's sources, each computed on first lookup."""
-
-    def __init__(self, epoch: Epoch, config: RunConfig) -> None:
-        super().__init__(samples=epoch.samples)
-        self.epoch = epoch
-        self.config = config
-
-    def __missing__(self, source: str) -> Any:
+def _each(fn: Callable[[np.ndarray], Any], rows: np.ndarray) -> list:
+    """fn of every row of an epoch matrix; None where fn raises ValueError."""
+    values = []
+    for row in rows:
         try:
-            value = _SOURCES[source](self)
+            values.append(fn(row))
         except ValueError:
-            if source not in _UNDEFINED_ON_ERROR:
-                raise
-            value = None
-        self[source] = value
-        return value
+            values.append(None)
+    return values
 
 
-_SOURCES: dict[str, Callable[[_Sources], Any]] = {
+def _column(get: Callable[[Any], float] = float, fn: Callable | None = None):
+    """Reader of get(value) per row, NaN where undefined; with fn, value = fn(row)."""
+    return lambda values: np.array(
+        [math.nan if v is None else get(v) for v in (_each(fn, values) if fn else values)]
+    )
+
+
+# Made in this order from a channel's epoch matrix ("samples"), fs, config and the
+# sources before them; Welch and the DWT fail only on the epoch width, so go first.
+_BATCH_SOURCES: dict[str, Callable[[dict], Any]] = {
+    "psd": lambda s: welch(s["samples"], s["fs"]),
+    "bands": lambda s: subband_features(dwt(s["samples"], s["config"].wavelet, s["config"].levels)),
     "moments": lambda s: tf.moments(s["samples"]),
-    "summary": lambda s: tf.stat_summary(s["samples"]),
+    "summary": lambda s: _each(tf.stat_summary, s["samples"]),
     "hjorth": lambda s: tf.hjorth(s["samples"]),
-    "template": lambda s: tf.template_entropies(s["samples"]),
-    "psd": lambda s: psd_welch(s.epoch),
+    "template": lambda s: _each(tf.template_entropies, s["samples"]),
     "peak": lambda s: _peak(s["psd"]),
-    "bands": lambda s: subband_features(
-        dwt(s["samples"], s.config.wavelet, s.config.levels)
-    ),
 }
-# Sources whose ValueError means the features are undefined on this epoch.
-_UNDEFINED_ON_ERROR = frozenset({"hjorth", "template", "peak"})
 
-_REGISTRY: dict[str, tuple[str, Callable[[Any], float]]] = {
+_REGISTRY: dict[str, tuple[str, Callable[[Any], np.ndarray]]] = {
     **{
         name: ("moments", itemgetter(i))
         for i, name in enumerate(("Mean", "Variance", "CV", "Skewness", "Kurtosis"))
     },
-    "Max": ("samples", np.max),
-    "Min": ("samples", np.min),
+    "Max": ("samples", partial(np.max, axis=-1)),
+    "Min": ("samples", partial(np.min, axis=-1)),
     **{
-        name: ("summary", attrgetter(name.lower()))
+        name: ("summary", _column(attrgetter(name.lower())))
         for name in ("Median", "Mode", "Q1", "Q3", "IQR")
     },
     "Energy": ("samples", tf.energy),
     "NE": ("samples", tf.nonlinear_energy),
     "LineLength": ("samples", tf.line_length),
-    "ShEn": ("samples", tf.shannon_entropy),
     "LocalExtrema": ("samples", tf.local_extrema),
     "ZeroCrossing": ("samples", tf.zero_crossings),
-    "RMS": ("samples", tf.rms),
-    "AveragePower": ("samples", tf.average_power),
-    "PE": ("samples", tf.permutation_entropy),
-    "WPE": ("samples", tf.weighted_permutation_entropy),
-    "FuzzyEn": ("samples", tf.fuzzy_entropy),
-    "DistEn": ("samples", tf.distribution_entropy),
-    "SVDEn": ("samples", tf.svd_entropy),
-    "HFD": ("samples", tf.higuchi_fd),
-    "BCFD": ("samples", tf.box_counting_fd),
-    "HE": ("samples", tf.hurst_exponent),
-    "DFA": ("samples", tf.dfa),
+    **{
+        name: ("samples", _column(fn=fn))
+        for name, fn in (
+            ("ShEn", tf.shannon_entropy), ("RMS", tf.rms),
+            ("AveragePower", tf.average_power), ("PE", tf.permutation_entropy),
+            ("WPE", tf.weighted_permutation_entropy), ("FuzzyEn", tf.fuzzy_entropy),
+            ("DistEn", tf.distribution_entropy), ("SVDEn", tf.svd_entropy),
+            ("HFD", tf.higuchi_fd), ("BCFD", tf.box_counting_fd),
+            ("HE", tf.hurst_exponent), ("DFA", tf.dfa),
+        )
+    },
     "Mobility": ("hjorth", itemgetter(1)),
     "Complexity": ("hjorth", itemgetter(2)),
-    "ApEn": ("template", itemgetter(0)),
-    "SampEn": ("template", itemgetter(1)),
+    "ApEn": ("template", _column(itemgetter(0))),
+    "SampEn": ("template", _column(itemgetter(1))),
     "IWMF": ("psd", iwmf),
     "IWBW": ("psd", iwbw),
     "SE": ("psd", spectral_entropy),
@@ -159,21 +155,6 @@ _REGISTRY: dict[str, tuple[str, Callable[[Any], float]]] = {
 }
 
 FEATURE_CATALOG: frozenset = frozenset(_REGISTRY)
-
-
-def _epoch_row(
-    epoch: Epoch, readers: list[tuple[str, Callable[[Any], float]]], config: RunConfig
-) -> list[float]:
-    """The requested base features of one channel epoch, NaN where undefined."""
-    sources = _Sources(epoch, config)
-    row = []
-    for source, read in readers:
-        value = sources[source]
-        try:
-            row.append(math.nan if value is None else float(read(value)))
-        except ValueError:
-            row.append(math.nan)
-    return row
 
 
 def _montage_in_record(record: Record, montage: Montage) -> Montage:
@@ -213,13 +194,26 @@ def extract(record: Record, config: RunConfig | None = None) -> FeatureTable:
 
     montage = _montage_in_record(record, config.montage)
     channels = montage.all_channels
-    epochs = segment(record, config.width_s, config.stride_s)
-    n_epochs = len(epochs[channels[0]])
+    width, stride, n_epochs = window_counts(
+        record.n_samples, record.fs, config.width_s, config.stride_s
+    )
+    span = (n_epochs - 1) * stride + width
+    for channel in channels:
+        bad = np.flatnonzero(~np.isfinite(record.channel_data(channel)[:span]))
+        if bad.size:
+            raise ValueError(f"channel {channel!r}: non-finite sample at {bad[0] / record.fs:g} s")
 
     readers = [_REGISTRY[name] for name in names]
+    needed = {source for source, _ in readers}
+    needed |= {"psd"} if "peak" in needed else set()
 
     def worker(channel: str) -> np.ndarray:
-        return np.array([_epoch_row(e, readers, config) for e in epochs[channel]])
+        rows = sliding_window_view(record.channel_data(channel), width)[::stride]
+        sources = {"samples": rows, "fs": record.fs, "config": config}
+        for source, make in _BATCH_SOURCES.items():
+            if source in needed:
+                sources[source] = make(sources)
+        return np.column_stack([read(sources[source]) for source, read in readers])
 
     if config.threads == 1:
         per_channel = {c: worker(c) for c in channels}
@@ -227,15 +221,9 @@ def extract(record: Record, config: RunConfig | None = None) -> FeatureTable:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             per_channel = dict(zip(channels, pool.map(worker, channels)))
 
-    reference = epochs[channels[0]]
-    starts = np.array([e.start_time for e in reference])
-    labels = np.array(
-        [
-            1 if label_epoch(e, record.annotations) is EpochLabel.SEIZURE else 0
-            for e in reference
-        ],
-        dtype=np.int64,
-    )
+    starts = np.arange(n_epochs) * stride / record.fs
+    seizure = [label_epoch((s, s + width / record.fs), record.annotations) for s in starts]
+    labels = np.array([label is EpochLabel.SEIZURE for label in seizure], dtype=np.int64)
 
     values = np.empty((n_epochs, 2 * len(names)))
     for k, side in enumerate((montage.left, montage.right)):

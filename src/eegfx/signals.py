@@ -22,6 +22,7 @@ __all__ = [
     "DEFAULT_MONTAGE",
     "label_epoch",
     "segment",
+    "window_counts",
 ]
 
 
@@ -166,7 +167,8 @@ DEFAULT_MONTAGE = Montage(
 )
 
 
-def _window_counts(n_samples: int, fs: float, width_s: float, stride_s: float):
+def window_counts(n_samples: int, fs: float, width_s: float, stride_s: float):
+    """(width, stride, count) in samples of the epochs a record is cut into."""
     width = width_s * fs
     stride = stride_s * fs
     width_n = int(round(width))
@@ -193,7 +195,7 @@ def segment(
     features). Returns ``{channel_id: [Epoch, ...]}`` with
     ``floor((L - width*fs)/(stride*fs)) + 1`` epochs per channel.
     """
-    width_n, stride_n, count = _window_counts(
+    width_n, stride_n, count = window_counts(
         record.n_samples, record.fs, width_s, stride_s
     )
     out: dict[str, list[Epoch]] = {}

@@ -11,7 +11,8 @@ reconstruction stays exact at every length.
 Sub-band features are the time-domain statistics of each band's
 coefficient sequence: the moments of :func:`time_features.moments`,
 min, max, energy and line length, so a band value equals the 1-D
-function applied to ``decomp.band(name)``.
+function applied to ``decomp.band(name)``.  Both also take each row of a
+matrix; they work along the last axis only, so batch rows equal 1-D calls.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def _filter_bank(wavelet_id: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 class WaveletDecomposition:
     """Coefficients of a multi-level DWT.
 
-    ``details`` holds D1 (finest) through DL; ``approx`` is A_L.
+    ``details`` holds D1 (finest) through DL; ``approx`` is A_L.  Each
+    is a vector, or one row per signal for a batch (not invertible).
     ``length`` records the analyzed sample count so the inverse can
     crop pad samples away.
     """
@@ -87,14 +89,14 @@ class WaveletDecomposition:
         approx = np.asarray(self.approx, dtype=np.float64)
         if self.levels < 1 or len(details) != self.levels:
             raise ValueError("need one detail sequence per level, levels >= 1")
-        if approx.size != details[-1].size:
+        if approx.shape != details[-1].shape:
             raise ValueError("approx and deepest detail must have equal length")
         for shallow, deep in zip(details, details[1:]):
-            if abs(deep.size - shallow.size / 2) > 1:
+            if abs(deep.shape[-1] - shallow.shape[-1] / 2) > 1:
                 raise ValueError("detail lengths must halve level to level")
         for arr in (*details, approx):
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise ValueError("coefficients must be finite 1-D vectors")
+            if arr.ndim not in (1, 2) or not np.all(np.isfinite(arr)):
+                raise ValueError("coefficients must be finite vectors or rows")
             arr.flags.writeable = False
         object.__setattr__(self, "details", details)
         object.__setattr__(self, "approx", approx)
@@ -111,13 +113,20 @@ class WaveletDecomposition:
 
 
 def _analyze(a: np.ndarray, dec_lo: np.ndarray, dec_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if a.size % 2:
-        a = np.concatenate([a, a[-1:]])
+    # circular convolution of each row at the odd outputs; taps summed last first, as np.convolve
+    if a.shape[-1] % 2:
+        a = np.concatenate([a, a[..., -1:]], axis=-1)
+    n = a.shape[-1]
     taps = dec_lo.size
-    ext = a[np.arange(-(taps - 1), a.size) % a.size]
-    lo = np.convolve(ext, dec_lo)[taps - 1 : taps - 1 + a.size]
-    hi = np.convolve(ext, dec_hi)[taps - 1 : taps - 1 + a.size]
-    return lo[1::2], hi[1::2]
+    wrap = a[..., 1 - taps :] if n >= taps - 1 else a[..., np.arange(1 - taps, 0) % n]
+    ext = np.concatenate([wrap, a], axis=-1)
+    window = ext[..., 1 : n + 1 : 2]
+    lo, hi = dec_lo[-1] * window, dec_hi[-1] * window
+    for k in range(taps - 2, -1, -1):
+        window = ext[..., taps - k : taps - k + n : 2]
+        lo += dec_lo[k] * window
+        hi += dec_hi[k] * window
+    return lo, hi
 
 
 def _synthesize(
@@ -145,15 +154,15 @@ def _samples_of(signal) -> np.ndarray:
     if isinstance(signal, Epoch):
         return signal.samples
     a = np.asarray(signal, dtype=np.float64)
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError("need a 1-D signal of length >= 2")
+    if a.ndim not in (1, 2) or a.shape[-1] < 2:
+        raise ValueError("need a 1-D signal (or rows of a matrix) of length >= 2")
     if not np.all(np.isfinite(a)):
         raise ValueError("signal must be finite")
     return a
 
 
 def dwt(signal, wavelet: str = "d4", levels: int = 5) -> WaveletDecomposition:
-    """Decompose an epoch (or bare sample vector) into ``levels`` bands.
+    """Decompose an epoch, a sample vector or each matrix row into ``levels`` bands.
 
     Requires at least 2**levels samples so the deepest band is nonempty.
     """
@@ -161,8 +170,8 @@ def dwt(signal, wavelet: str = "d4", levels: int = 5) -> WaveletDecomposition:
     dec_lo, dec_hi, _, _ = _filter_bank(wavelet)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    if x.size < 2**levels:
-        raise ValueError(f"{x.size} samples too short for a {levels}-level decomposition")
+    if x.shape[-1] < 2**levels:
+        raise ValueError(f"{x.shape[-1]} samples too short for a {levels}-level decomposition")
     details = []
     a = x
     for _ in range(levels):
@@ -173,7 +182,7 @@ def dwt(signal, wavelet: str = "d4", levels: int = 5) -> WaveletDecomposition:
         approx=a,
         levels=levels,
         wavelet_id=wavelet.lower(),
-        length=x.size,
+        length=x.shape[-1],
     )
 
 
@@ -196,24 +205,24 @@ def subband_features(decomp: WaveletDecomposition) -> dict[str, float]:
 
     Mean, absolute mean, variance, skewness, kurtosis, min, max, energy,
     and line length of each band's coefficient sequence, each as the
-    time-domain function computes it.
+    time-domain function computes it; one value per row for a batch.
     """
     out: dict[str, float] = {}
     for band_name, coeffs in zip(decomp.band_names, (*decomp.details, decomp.approx)):
-        if coeffs.size < 2:
-            raise ValueError(f"band {band_name} has {coeffs.size} coefficient(s), need >= 2")
+        if coeffs.shape[-1] < 2:
+            raise ValueError(f"band {band_name} has {coeffs.shape[-1]} coefficient(s), need >= 2")
         mean, var, _, skew, kurt = moments(coeffs)
         values = {
             "Mean": mean,
-            "AbsMean": float(np.abs(coeffs).mean()),
+            "AbsMean": np.abs(coeffs).mean(axis=-1),
             "Variance": var,
             "Skewness": skew,
             "Kurtosis": kurt,
-            "Min": float(coeffs.min()),
-            "Max": float(coeffs.max()),
+            "Min": coeffs.min(axis=-1),
+            "Max": coeffs.max(axis=-1),
             "Energy": energy(coeffs),
             "LineLength": line_length(coeffs),
         }
         for feature_name, value in values.items():
-            out[f"{feature_name}{band_name}"] = value
+            out[f"{feature_name}{band_name}"] = value if coeffs.ndim == 2 else float(value)
     return out

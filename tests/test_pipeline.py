@@ -295,6 +295,19 @@ class TestMontageHandling:
         with pytest.raises(ValueError, match="Bogus"):
             extract(_record(), cfg)
 
+    def test_non_finite_sample_names_channel_and_time(self):
+        record = _record(seconds=8, channels=("A", "B", "ECG"))
+        data = record.data.copy()
+        data[1, 600] = np.nan
+        data[2, 10] = np.inf  # outside the montage: ignored
+        cfg = RunConfig(features=("Mean",), montage=_PAIR)
+        with pytest.raises(ValueError, match=r"channel 'B': non-finite sample at 2\.34375 s"):
+            extract(dataclasses.replace(record, data=data), cfg)
+        data = data.copy()  # the record made it read-only
+        data[1, 600] = 0.0
+        table = extract(dataclasses.replace(record, data=data), cfg)
+        assert np.all(np.isfinite(table.values))
+
     def test_duplicate_feature_errors(self):
         cfg = RunConfig(features=("Mean", "Mean"), montage=_PAIR)
         with pytest.raises(ValueError, match="duplicates"):
