@@ -1,7 +1,10 @@
 """Bayes-error feature significance and detection metrics.
 
-Per-class feature densities are estimated with Gaussian-kernel KDE,
-the two-class Bayes error is integrated numerically, and a feature's
+Per-class feature densities are estimated with binned Gaussian-kernel
+KDE: each class is linearly binned on a lattice of step at most h/8 and
+convolved with the kernel by FFT, in O(N + lattice log lattice) time
+rather than the O(grid x N) of a direct sum.  The two-class Bayes error
+is integrated with the trapezoid rule on a fixed grid, and a feature's
 worth is the percentage improvement of that error over the
 always-predict-majority baseline.
 """
@@ -10,10 +13,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from eegfx.feature_table import FeatureTable
 
@@ -35,7 +39,9 @@ SIGNIFICANCE_THRESHOLD = 4.5  # improvement-rate percent
 
 _GRID_POINTS = 4096
 _GRID_MARGIN_BANDWIDTHS = 4.0
-_KDE_BLOCK = 256
+_BINS_PER_BANDWIDTH = 8  # binning lattice step <= h/8
+_KERNEL_BANDWIDTHS = 8.0  # kernel truncated at +-8h
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -45,11 +51,14 @@ class KdeModel:
     ``class_samples`` holds the training values per class (index 0 =
     seizure, index 1 = normal in pipeline use, but the model itself is
     symmetric).  Bandwidths follow h = 1.06 sigma N^(-1/5) per class.
+    Construction takes each class's (min, max) once; that pass is also
+    the model's only finiteness check.
     """
 
     class_samples: tuple[np.ndarray, np.ndarray]
     bandwidths: tuple[float, float]
     priors: tuple[float, float]
+    _support: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         samples = tuple(np.asarray(s, dtype=np.float64) for s in self.class_samples)
@@ -57,36 +66,79 @@ class KdeModel:
         priors = tuple(float(p) for p in self.priors)
         if len(samples) != 2 or len(bandwidths) != 2 or len(priors) != 2:
             raise ValueError("model is strictly two-class")
+        support = []
         for s in samples:
-            if s.ndim != 1 or s.size < 2 or not np.all(np.isfinite(s)):
-                raise ValueError("each class needs >= 2 finite samples")
+            if s.ndim != 1 or s.size < 2:
+                raise ValueError("each class needs >= 2 samples")
+            lo, hi = float(s.min()), float(s.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("class samples have non-finite values")
+            support.append((lo, hi))
             s.flags.writeable = False
-        if min(bandwidths) <= 0.0:
-            raise ValueError("bandwidths must be positive")
+        if not all(0.0 < h < math.inf for h in bandwidths):
+            raise ValueError("bandwidths must be positive and finite")
         if min(priors) <= 0.0 or abs(sum(priors) - 1.0) > 1e-9:
             raise ValueError("priors must be positive and sum to 1")
         object.__setattr__(self, "class_samples", samples)
         object.__setattr__(self, "bandwidths", bandwidths)
         object.__setattr__(self, "priors", priors)
-
-    def density(self, class_index: int, points: np.ndarray) -> np.ndarray:
-        """Gaussian-kernel density of one class at the given points."""
-        samples = self.class_samples[class_index]
-        h = self.bandwidths[class_index]
-        points = np.asarray(points, dtype=np.float64)
-        out = np.empty(points.size)
-        norm = 1.0 / (samples.size * h * math.sqrt(2.0 * math.pi))
-        for lo in range(0, points.size, _KDE_BLOCK):
-            z = (points[lo : lo + _KDE_BLOCK, None] - samples[None, :]) / h
-            out[lo : lo + _KDE_BLOCK] = np.exp(-0.5 * z * z).sum(axis=1) * norm
-        return out
+        object.__setattr__(self, "_support", tuple(support))
 
     def evaluation_grid(self, n_points: int = _GRID_POINTS) -> np.ndarray:
         """Uniform grid spanning the pooled samples plus 4 bandwidths."""
-        lo = min(float(s.min()) for s in self.class_samples)
-        hi = max(float(s.max()) for s in self.class_samples)
+        return np.linspace(*self._grid_ends(n_points), n_points)
+
+    def _grid_ends(self, n_points: int) -> tuple[float, float]:
+        if n_points < 2:
+            raise ValueError(f"the grid needs >= 2 points, got {n_points}")
         margin = _GRID_MARGIN_BANDWIDTHS * max(self.bandwidths)
-        return np.linspace(lo - margin, hi + margin, n_points)
+        lo = min(lo for lo, _ in self._support) - margin
+        hi = max(hi for _, hi in self._support) + margin
+        return lo, hi
+
+    def density(self, class_index: int, n_points: int = _GRID_POINTS) -> np.ndarray:
+        """Gaussian-kernel density of one class on ``evaluation_grid(n_points)``.
+
+        Linearly binned KDE (Silverman, AS 176, 1982; Wand, 1994).  The
+        grid step dx is split r = ceil(8 dx / h) ways, so the binning
+        lattice has a step of at most h/8 and holds every grid point.
+        The lattice spans only this class's support +-8h, which keeps it
+        small however narrow the class is against the pooled range.  The
+        bin weights are convolved with the Gaussian kernel truncated at
+        +-8h in one real FFT, and every r-th lattice point is read back;
+        grid points off the lattice get 0.
+        """
+        samples = self.class_samples[class_index]
+        h = self.bandwidths[class_index]
+        lo, hi = self._support[class_index]
+        start, stop = self._grid_ends(n_points)
+        dx = (stop - start) / (n_points - 1)
+        r = math.ceil(_BINS_PER_BANDWIDTH * dx / h)
+        step = dx / r
+        reach = _KERNEL_BANDWIDTHS * h
+        first = max(0, math.floor((lo - reach - start) / step))
+        last = min(r * (n_points - 1), math.ceil((hi + reach - start) / step))
+        size = last - first + 1
+
+        pos = (samples - (start + first * step)) / step
+        left = pos.astype(np.intp)
+        frac = pos - left
+        weights = np.bincount(left, 1.0 - frac, size) + np.bincount(left + 1, frac, size)
+
+        # circular convolution: n_fft >= size + half keeps the wrap-around
+        # off the lattice, and no kernel offset beyond size - 1 reaches it
+        half = min(math.ceil(reach / step), size - 1)
+        n_fft = sp_fft.next_fast_len(size + half, real=True)
+        kernel = np.zeros(n_fft)
+        kernel[: half + 1] = np.exp(-0.5 * (np.arange(half + 1) * (step / h)) ** 2)
+        kernel[n_fft - half :] = kernel[half:0:-1]
+        smooth = sp_fft.irfft(sp_fft.rfft(weights, n_fft) * sp_fft.rfft(kernel), n_fft)
+
+        out = np.zeros(n_points)
+        j0, j1 = -(-first // r), last // r
+        picked = smooth[r * j0 - first : r * j1 - first + 1 : r]
+        out[j0 : j1 + 1] = np.maximum(picked, 0.0) / (samples.size * h * _SQRT_2PI)
+        return out
 
 
 def fit_kde(
@@ -99,24 +151,21 @@ def fit_kde(
     default to class counts over the total; pass explicit priors to
     model a different class balance than the sample sizes suggest.
     A zero-variance class falls back to a bandwidth of 1e-3 times the
-    pooled data range so its density stays proper.
+    pooled data range so its density stays proper.  Non-finite samples
+    are refused when the model is built.
     """
     if len(class_values) != 2:
         raise ValueError(f"exactly two classes required, got {len(class_values)}")
     samples = tuple(np.asarray(v, dtype=np.float64).ravel() for v in class_values)
-    for s in samples:
-        if s.size < 2:
-            raise ValueError("each class needs at least 2 samples")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("class samples must be finite")
-    pooled_range = max(float(s.max()) for s in samples) - min(float(s.min()) for s in samples)
-    bandwidths = []
-    for s in samples:
-        sigma = float(s.std(ddof=1))
-        if sigma > 0.0:
-            bandwidths.append(1.06 * sigma * s.size ** (-1.0 / 5.0))
-        else:
-            bandwidths.append(1e-3 * pooled_range if pooled_range > 0.0 else 1e-3)
+    if min(s.size for s in samples) < 2:
+        raise ValueError("each class needs at least 2 samples")
+    with np.errstate(invalid="ignore"):  # an infinite sample gives sigma = nan
+        sigmas = [float(s.std(ddof=1)) for s in samples]
+    bandwidths = [1.06 * sigma * s.size ** (-1.0 / 5.0) for s, sigma in zip(samples, sigmas)]
+    if not all(sigma > 0.0 for sigma in sigmas):
+        pooled_range = max(float(s.max()) for s in samples) - min(float(s.min()) for s in samples)
+        fallback = 1e-3 * pooled_range if pooled_range > 0.0 else 1e-3
+        bandwidths = [b if sigma > 0.0 else fallback for b, sigma in zip(bandwidths, sigmas)]
     if priors is None:
         total = samples[0].size + samples[1].size
         priors = (samples[0].size / total, samples[1].size / total)
@@ -133,14 +182,13 @@ def bayes_error(model: KdeModel, n_grid: int = _GRID_POINTS) -> float:
     Integrates min_i P(C_i) p(x|C_i) with the trapezoid rule over the
     model's evaluation grid.
     """
-    grid = model.evaluation_grid(n_grid)
     weighted = np.minimum(
-        model.priors[0] * model.density(0, grid),
-        model.priors[1] * model.density(1, grid),
+        model.priors[0] * model.density(0, n_grid),
+        model.priors[1] * model.density(1, n_grid),
     )
     if not np.all(np.isfinite(weighted)):
         raise ValueError("non-finite density on the evaluation grid")
-    return float(np.trapezoid(weighted, grid))
+    return float(np.trapezoid(weighted, model.evaluation_grid(n_grid)))
 
 
 def err0(n_seizure: int, n_normal: int) -> float:
@@ -188,13 +236,13 @@ def feature_significance(
     baseline comes from the table's own class counts; the report flags
     significance when the improvement rate exceeds ``threshold``.
     """
-    seizure, normal = table.class_values(f"{feature}{hemisphere}")
-    if seizure.size < 2 or normal.size < 2:
-        raise ValueError("both classes need >= 2 epochs in the table")
-    if not (np.all(np.isfinite(seizure)) and np.all(np.isfinite(normal))):
-        raise ValueError(f"feature {feature}{hemisphere} has non-finite values")
+    column = f"{feature}{hemisphere}"
+    try:
+        model = fit_kde(table.class_values(column))
+    except ValueError as exc:
+        raise ValueError(f"feature {column}: {exc}") from None
     err_0 = err0(*table.class_counts())
-    err_b = bayes_error(fit_kde((seizure, normal)), n_grid=n_grid)
+    err_b = bayes_error(model, n_grid=n_grid)
     rate = improvement_rate(err_b, err_0)
     return SignificanceReport(
         feature_id=feature,

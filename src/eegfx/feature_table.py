@@ -3,22 +3,24 @@
 Schema: ``record,epoch_start_s,label,<feature columns...>`` with label
 1 for seizure epochs and 0 for normal ones.  Floats are written with 9
 significant digits (``%.9g``), so identical tables serialize
-byte-identically.  Both directions work on the whole table at once:
-``to_csv`` applies one row template to every row, and ``read_csv``
-checks the header and each row's cell count, then parses all numeric
-columns in one ``np.loadtxt`` call.
+byte-identically.  ``to_csv`` and ``write_csv`` apply one row template
+to blocks of 256 rows, so writing holds one block's Python floats at a
+time; ``read_csv`` checks the header and each row's cell count, then
+parses all numeric columns in one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 __all__ = ["FeatureTable"]
 
 _FIXED_COLUMNS = ("record", "epoch_start_s", "label")
+_CSV_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -81,14 +83,23 @@ class FeatureTable:
         return col[self.labels == 1], col[self.labels == 0]
 
     def to_csv(self) -> str:
-        row = "%s,%.9g,%d" + ",%.9g" * len(self.feature_names)
-        numbers = np.column_stack([self.epoch_starts, self.labels, self.values]).tolist()
-        lines = [",".join(_FIXED_COLUMNS + self.feature_names)]
-        lines.extend(row % (record, *cells) for record, cells in zip(self.records, numbers))
-        return "\n".join(lines) + "\n"
+        return "".join(self._csv_blocks())
 
     def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="ascii", newline="")
+        with open(path, "w", encoding="ascii", newline="") as handle:
+            handle.writelines(self._csv_blocks())
+
+    def _csv_blocks(self) -> Iterator[str]:
+        # Blocks of rows keep the Python floats of only one block alive,
+        # not a float object per cell of the whole table.
+        yield ",".join(_FIXED_COLUMNS + self.feature_names) + "\n"
+        row = "%s,%.9g,%d" + ",%.9g" * len(self.feature_names) + "\n"
+        for lo in range(0, len(self.records), _CSV_BLOCK_ROWS):
+            hi = lo + _CSV_BLOCK_ROWS
+            numbers = np.column_stack(
+                [self.epoch_starts[lo:hi], self.labels[lo:hi], self.values[lo:hi]]
+            ).tolist()
+            yield "".join(row % (rec, *cells) for rec, cells in zip(self.records[lo:hi], numbers))
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "FeatureTable":

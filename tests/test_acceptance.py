@@ -152,6 +152,74 @@ def test_bayes_error_against_gaussian_closed_form():
     )
 
 
+# column shapes of the generated paper-scale table: (rng, n, shift) -> values
+_PAPER_FAMILIES = (
+    lambda rng, n, shift: rng.standard_normal(n) + shift,
+    lambda rng, n, shift: rng.lognormal(shift, 1.5, n),
+    lambda rng, n, shift: rng.standard_t(2, n) + shift,
+    lambda rng, n, shift: rng.poisson(4.0 + 2.0 * shift, n).astype(float),
+    lambda rng, n, shift: 1.0 / (1.0 + np.exp(-(2.0 * rng.standard_normal(n) + shift))),
+)
+
+
+def _paper_column(k, n_seizure, n_normal):
+    """Column k of a generated 152-column table, as (seizure, normal) values."""
+    rng = np.random.default_rng(1000 + k)
+    draw = _PAPER_FAMILIES[k % len(_PAPER_FAMILIES)]
+    return draw(rng, n_seizure, 0.25 * (k % 13)), draw(rng, n_normal, 0.0)
+
+
+def test_evaluate_at_the_papers_epoch_counts():
+    # 152 columns at 4677 seizure + 263,424 normal epochs, generated and
+    # scored one at a time (2.1 MB each, never the 326 MB table).  The
+    # budget times the library calls alone.  The direct sum took 20-35 s
+    # per column at these counts on a 2-core host, so it needs about an
+    # hour for the 152 columns and cannot meet it.
+    budget_s = 30.0
+    n_seizure, n_normal, n_columns = 4677, 263424, 152
+    err_0 = err0(n_seizure, n_normal)
+    library_s = 0.0
+    errors = []
+    for k in range(n_columns):
+        seizure, normal = _paper_column(k, n_seizure, n_normal)
+        start = time.perf_counter()
+        errors.append(bayes_error(fit_kde((seizure, normal))))
+        library_s += time.perf_counter() - start
+    worst_excess = max(errors) - err_0
+
+    # a unit Gaussian shifted by 3: the Bayes boundary sits where the
+    # prior-weighted densities cross.  The sampling SD of err_b at these
+    # counts is about 1.6e-4 and smoothing by h adds a 9e-5 bias, so the
+    # tolerance is 3 SD plus that bias.
+    gauss_tol = 6e-4
+    mu = 3.0
+    seizure, normal = np.random.default_rng(7).standard_normal((2, n_normal))
+    seizure = seizure[:n_seizure] + mu
+    prior = n_seizure / (n_seizure + n_normal)
+    cut = mu / 2.0 + math.log((1.0 - prior) / prior) / mu
+    closed = prior * norm.cdf(cut - mu) + (1.0 - prior) * norm.sf(cut)
+    gauss = bayes_error(fit_kde((seizure, normal)))
+
+    lognormal = _paper_column(1, n_seizure, n_normal)
+    model = fit_kde(lognormal)
+    binned = bayes_error(model)
+    direct = oracles.direct_bayes_error(model)
+    report(
+        "evaluate at the paper's epoch counts",
+        err_0 == 4677 / 268101
+        and round(err_0, 4) == 0.0174
+        and library_s <= budget_s
+        and worst_excess <= 1e-3
+        and abs(gauss - closed) <= gauss_tol
+        and abs(binned - direct) <= 1e-4,
+        f"{n_columns} columns in {library_s:.2f} s (budget {budget_s:g} s), "
+        f"err_0 = {err_0:.6f}, max err_b - err_0 = {worst_excess:.2e} (want <= 1e-3); "
+        f"Gaussian shift {mu:g}: err_b = {gauss:.6f} vs closed form {closed:.6f} "
+        f"(tol {gauss_tol:g}); log-normal: binned {binned:.7f} "
+        f"vs direct sum {direct:.7f} (tol 1e-4)",
+    )
+
+
 def test_identical_classes_recover_the_minority_prior():
     rng = np.random.default_rng(11)
     seizure = rng.standard_normal(2000)

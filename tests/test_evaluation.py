@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ from eegfx.evaluation import (
     significance_csv,
 )
 from eegfx.feature_table import FeatureTable
+from oracles import direct_bayes_error, direct_kde_density
+
+# |err_b(binned) - err_b(direct sum)| on the same grid
+ORACLE_ATOL = 1e-4
+
+
+def _matches_direct_sum(model, n_grid=4096):
+    err_b = bayes_error(model, n_grid=n_grid)
+    assert abs(err_b - direct_bayes_error(model, n_grid)) <= ORACLE_ATOL
+    return err_b
 
 
 def _standardized(rng, n):
@@ -67,6 +78,10 @@ def test_fit_kde_input_validation():
         fit_kde((x, np.array([1.0])))
     with pytest.raises(ValueError, match="finite"):
         fit_kde((x, np.array([1.0, np.nan, 2.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            fit_kde((x, np.array([1.0, np.inf, 2.0])))
     with pytest.raises(ValueError, match="priors"):
         fit_kde((x, x), priors=(0.7, 0.7))
 
@@ -75,6 +90,11 @@ def test_model_validation():
     x = np.array([0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="bandwidths"):
         KdeModel(class_samples=(x, x), bandwidths=(0.0, 1.0), priors=(0.5, 0.5))
+    with pytest.raises(ValueError, match="bandwidths"):
+        KdeModel(class_samples=(x, x), bandwidths=(math.inf, 1.0), priors=(0.5, 0.5))
+    with pytest.raises(ValueError, match="non-finite"):
+        KdeModel(class_samples=(x, np.array([0.0, -np.inf])), bandwidths=(1.0, 1.0),
+                 priors=(0.5, 0.5))
     with pytest.raises(ValueError, match="priors"):
         KdeModel(class_samples=(x, x), bandwidths=(1.0, 1.0), priors=(-0.5, 1.5))
 
@@ -84,7 +104,7 @@ def test_each_class_density_integrates_to_one():
     model = fit_kde((rng.standard_normal(500), 2.0 + 0.5 * rng.standard_normal(400)))
     grid = model.evaluation_grid()
     for i in (0, 1):
-        dens = model.density(i, grid)
+        dens = model.density(i)
         assert np.all(dens >= 0.0)
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
 
@@ -93,8 +113,27 @@ def test_mixture_density_integrates_to_one():
     rng = np.random.default_rng(5)
     model = fit_kde((rng.standard_normal(300), rng.standard_normal(600) - 1.0))
     grid = model.evaluation_grid()
-    mix = model.priors[0] * model.density(0, grid) + model.priors[1] * model.density(1, grid)
+    mix = model.priors[0] * model.density(0) + model.priors[1] * model.density(1)
     assert 0.995 <= np.trapezoid(mix, grid) <= 1.005
+
+
+def test_grid_density_tracks_the_direct_sum():
+    rng = np.random.default_rng(17)
+    model = fit_kde((rng.standard_normal(300), rng.lognormal(0.0, 1.0, 700)))
+    grid = model.evaluation_grid(1024)
+    for i in (0, 1):
+        want = direct_kde_density(model.class_samples[i], model.bandwidths[i], grid)
+        got = model.density(i, 1024)
+        assert got.shape == grid.shape
+        assert np.max(np.abs(got - want)) <= 1e-3 * want.max()
+
+
+def test_grid_needs_two_points():
+    model = fit_kde((np.array([0.0, 1.0]), np.array([2.0, 3.0])))
+    with pytest.raises(ValueError, match="2 points"):
+        model.evaluation_grid(1)
+    with pytest.raises(ValueError, match="2 points"):
+        bayes_error(model, n_grid=1)
 
 
 def test_identical_sample_sets_hit_min_prior():
@@ -102,46 +141,47 @@ def test_identical_sample_sets_hit_min_prior():
     x = rng.standard_normal(400)
     for p in (0.5, 0.25, 0.1):
         model = fit_kde((x, x), priors=(p, 1.0 - p))
-        assert bayes_error(model) == pytest.approx(min(p, 1.0 - p), abs=1e-3)
+        assert _matches_direct_sum(model) == pytest.approx(min(p, 1.0 - p), abs=1e-3)
 
 
 def test_well_separated_classes_have_negligible_error():
     rng = np.random.default_rng(7)
     a = rng.standard_normal(300)
     model = fit_kde((a, a + 200.0))
-    assert bayes_error(model) < 1e-4
+    assert _matches_direct_sum(model) < 1e-4
 
 
 def test_two_gaussians_at_plus_minus_one():
     rng = np.random.default_rng(8)
     model = fit_kde((rng.standard_normal(4000) - 1.0, rng.standard_normal(4000) + 1.0))
     # analytic Bayes error of the true mixture is Phi(-1) = 0.15866
-    assert bayes_error(model) == pytest.approx(0.15866, abs=0.02)
+    assert _matches_direct_sum(model) == pytest.approx(0.15866, abs=0.02)
 
 
 def test_error_invariant_under_monotone_rescaling():
     rng = np.random.default_rng(9)
     a = rng.standard_normal(2000) - 0.5
     b = rng.standard_normal(2000) + 0.5
-    raw = bayes_error(fit_kde((a, b)))
-    affine = bayes_error(fit_kde((-2.0 * a + 3.0, -2.0 * b + 3.0)))
+    raw = _matches_direct_sum(fit_kde((a, b)))
+    affine = _matches_direct_sum(fit_kde((-2.0 * a + 3.0, -2.0 * b + 3.0)))
     assert abs(raw - affine) < 1e-12
     for warp in (lambda x: x + 0.1 * np.tanh(x), lambda x: np.exp(0.2 * x)):
-        warped = bayes_error(fit_kde((warp(a), warp(b))))
+        warped = _matches_direct_sum(fit_kde((warp(a), warp(b))))
         assert abs(raw - warped) < 2e-3
 
 
 def test_grid_refinement_is_converged():
     rng = np.random.default_rng(10)
     model = fit_kde((rng.standard_normal(1000), rng.standard_normal(1000) + 0.7))
-    assert abs(bayes_error(model, n_grid=4096) - bayes_error(model, n_grid=8192)) < 1e-4
+    coarse = _matches_direct_sum(model, n_grid=4096)
+    assert abs(coarse - _matches_direct_sum(model, n_grid=8192)) < 1e-4
 
 
 def test_identical_distributions_never_beat_min_prior_by_much():
     rng = np.random.default_rng(11)
     for _ in range(5):
         model = fit_kde((rng.standard_normal(500), rng.standard_normal(500)))
-        assert bayes_error(model) <= 0.5 + 2e-2
+        assert _matches_direct_sum(model) <= 0.5 + 2e-2
 
 
 def test_zero_variance_class_uses_fallback_bandwidth():
@@ -150,7 +190,7 @@ def test_zero_variance_class_uses_fallback_bandwidth():
     spread = rng.uniform(0.0, 10.0, size=200)
     model = fit_kde((flat, spread))
     assert model.bandwidths[0] == pytest.approx(1e-3 * 10.0, rel=0.2)
-    err = bayes_error(model)
+    err = _matches_direct_sum(model)
     assert math.isfinite(err)
     assert 0.0 <= err <= 1.0
 
@@ -190,6 +230,7 @@ def test_significance_of_label_plus_noise_is_high():
     seizure = 1.0 + 0.01 * rng.standard_normal(100)
     normal = 0.01 * rng.standard_normal(400)
     report = feature_significance(_labeled_table(seizure, normal), "F")
+    assert abs(report.err_b - direct_bayes_error(fit_kde((seizure, normal)))) <= ORACLE_ATOL
     assert report.rate > 90.0
     assert report.significant
     assert report.err_0 == pytest.approx(100 / 500)
@@ -209,7 +250,7 @@ def test_significance_rejects_bad_columns():
     with pytest.raises(KeyError):
         feature_significance(table, "Missing", "L")
     nan_table = _labeled_table(np.array([np.nan, 1.0, 2.0]), rng.standard_normal(10))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="feature F: .*non-finite"):
         feature_significance(nan_table, "F")
 
 

@@ -120,6 +120,26 @@ def test_csv_format_is_fixed():
     assert lines[1] == "r,2,0,0.123456789,1e-12"
 
 
+@pytest.mark.parametrize("rows", [255, 256, 257, 700])
+def test_csv_rows_across_write_blocks_match_per_row_format(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    table = FeatureTable(
+        records=tuple(f"rec{i % 7}" for i in range(rows)),
+        epoch_starts=np.arange(rows) * 2.0,
+        labels=rng.integers(0, 2, rows),
+        feature_names=("F", "G", "H"),
+        values=rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-8, 8, (rows, 3)),
+    )
+    want = "record,epoch_start_s,label,F,G,H\n" + "".join(
+        "%s,%.9g,%d,%.9g,%.9g,%.9g\n" % (r, t, lab, *v)
+        for r, t, lab, v in zip(table.records, table.epoch_starts, table.labels, table.values)
+    )
+    assert table.to_csv() == want
+    path = tmp_path / "t.csv"
+    table.write_csv(path)
+    assert path.read_bytes() == want.encode("ascii")
+
+
 def test_round_trip_preserves_nine_significant_digits(tmp_path):
     rng = np.random.default_rng(5)
     values = rng.standard_normal((20, 3)) * 10.0 ** rng.integers(-6, 6, size=(20, 3))
