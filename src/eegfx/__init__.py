@@ -84,7 +84,6 @@ from eegfx.evaluation import (  # noqa: F401
     significance_csv,
 )
 from eegfx.cfs import (  # noqa: F401
-    DiscretizedFeature,
     MeritTrace,
     discretize,
     forward_search,

@@ -1,15 +1,18 @@
 """Correlation-based feature selection.
 
-Features and labels are discretized, correlations are symmetrical
-uncertainty (an entropy ratio in [0, 1]), and subsets are scored by the
-merit heuristic that rewards feature-class correlation while punishing
-feature-feature redundancy.  Search is greedy forward selection.
+Features are discretized by rank into plain int64 codes; correlations
+are symmetrical uncertainty (SU, an entropy ratio in [0, 1]) from one
+row-wise kernel that counts a block of code rows against one code vector
+with a single ``bincount``.  Entropies sum their counts sorted and in
+sequence, so an SU does not depend on argument order, unused code values
+or the other rows of the call.  Greedy forward selection scores subsets
+by Hall's merit, keeping its sums as running totals: one kernel call per
+pick.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -19,7 +22,6 @@ import numpy as np
 from eegfx.feature_table import FeatureTable
 
 __all__ = [
-    "DiscretizedFeature",
     "MeritTrace",
     "discretize",
     "symmetric_correlation",
@@ -28,30 +30,11 @@ __all__ = [
 ]
 
 _DEFAULT_BINS = 10
+_BLOCK_CELLS = 1 << 17  # int64 cells per kernel block, about 1 MB
 
 
-@dataclass(frozen=True)
-class DiscretizedFeature:
-    """Integer bin codes for one feature column."""
-
-    bins: np.ndarray
-    n_bins: int
-
-    def __post_init__(self) -> None:
-        bins = np.asarray(self.bins)
-        if bins.ndim != 1 or bins.size == 0 or not np.issubdtype(bins.dtype, np.integer):
-            raise ValueError("bins must be a nonempty 1-D integer vector")
-        if self.n_bins < 1:
-            raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
-        if bins.min() < 0 or bins.max() >= self.n_bins:
-            raise ValueError("codes must lie in [0, n_bins)")
-        bins = bins.astype(np.int64)
-        bins.flags.writeable = False
-        object.__setattr__(self, "bins", bins)
-
-
-def discretize(values, n_bins: int = _DEFAULT_BINS) -> DiscretizedFeature:
-    """Equal-frequency binning by rank; ties share the lower bin.
+def discretize(values, n_bins: int = _DEFAULT_BINS) -> np.ndarray:
+    """Equal-frequency int64 bin codes by rank; ties share the lower bin.
 
     A sample's code is floor(rank * n_bins / N) where rank is the
     position of its first occurrence in sort order, so the codes depend
@@ -65,51 +48,62 @@ def discretize(values, n_bins: int = _DEFAULT_BINS) -> DiscretizedFeature:
         raise ValueError("values must be finite")
     if n_bins < 2:
         raise ValueError(f"n_bins must be >= 2, got {n_bins}")
-    first_rank = np.searchsorted(np.sort(a), a, side="left")
-    codes = first_rank * n_bins // a.size
-    return DiscretizedFeature(bins=codes, n_bins=n_bins)
+    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - counts)[inverse] * n_bins // a.size
 
 
-def _codes_of(x) -> tuple[np.ndarray, int]:
-    if isinstance(x, DiscretizedFeature):
-        return x.bins, x.n_bins
+def _codes_of(x) -> np.ndarray:
     a = np.asarray(x)
     if a.ndim != 1 or a.size == 0 or not np.issubdtype(a.dtype, np.integer):
-        raise ValueError("expected a DiscretizedFeature or 1-D integer labels")
+        raise ValueError("expected a nonempty 1-D integer code vector")
     if a.min() < 0:
         raise ValueError("codes must be nonnegative")
-    return a.astype(np.int64), int(a.max()) + 1
+    return a.astype(np.int64, copy=False)
 
 
-def _entropy_of_counts(counts: np.ndarray) -> float:
-    p = counts[counts > 0] / counts.sum()
-    return float(-(p @ np.log(p)))
+def _entropy(counts: np.ndarray, n: int) -> np.ndarray:
+    """-sum p log p along the last axis, over the counts sorted and in sequence."""
+    p = np.sort(counts, axis=-1) / n
+    terms = p * np.log(p, out=np.zeros_like(p), where=p > 0)
+    return -np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def _su_rows(codes: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Symmetrical uncertainty of every row of a (rows, N) code matrix with b."""
+    n_rows, n = codes.shape
+    n_a, n_b = int(codes.max()) + 1, int(b.max()) + 1
+    cells = n_a * n_b
+    h_b = _entropy(np.bincount(b, minlength=n_b), n)
+    step = max(1, _BLOCK_CELLS // max(n, cells))
+    buffer = np.empty((min(step, n_rows), n), dtype=np.int64)  # one index array live
+    out = np.empty(n_rows)
+    for lo in range(0, n_rows, step):
+        block = codes[lo : lo + step]
+        joint_index = np.multiply(block, n_b, out=buffer[: len(block)])
+        joint_index += b
+        joint_index += np.arange(0, len(block) * cells, cells)[:, None]
+        joint = np.bincount(joint_index.ravel(), minlength=len(block) * cells)
+        joint = joint.reshape(len(block), n_a, n_b)
+        h_a = _entropy(joint.sum(axis=2), n)
+        h_ab = _entropy(joint.reshape(len(block), cells), n)
+        total = h_a + h_b
+        info = total - h_ab
+        su = np.divide(2.0 * info, total, out=np.zeros_like(total), where=total > 0)
+        out[lo : lo + step] = np.maximum(su, 0.0)
+    return out
 
 
 def symmetric_correlation(a, b) -> float:
     """Symmetrical uncertainty 2 I(a;b) / (H(a) + H(b)), natural log.
 
-    Accepts discretized features or raw integer label vectors.  Zero
-    when the joint information is zero (for instance either side is
-    constant).
+    Takes two nonnegative integer code vectors, such as ``discretize``
+    output or class labels.  Zero when the joint information is zero
+    (for instance either side is constant).
     """
-    codes_a, n_a = _codes_of(a)
-    codes_b, n_b = _codes_of(b)
+    codes_a, codes_b = _codes_of(a), _codes_of(b)
     if codes_a.size != codes_b.size:
         raise ValueError(f"length mismatch: {codes_a.size} vs {codes_b.size}")
-    h_a = _entropy_of_counts(np.bincount(codes_a, minlength=n_a))
-    h_b = _entropy_of_counts(np.bincount(codes_b, minlength=n_b))
-    if h_a + h_b == 0.0:
-        return 0.0
-    h_ab = _entropy_of_counts(np.bincount(codes_a * n_b + codes_b, minlength=n_a * n_b))
-    info = h_a + h_b - h_ab
-    return max(0.0, 2.0 * info / (h_a + h_b))
-
-
-def _pair_lookup(r_ff: Mapping, f: str, g: str) -> float:
-    if (f, g) in r_ff:
-        return float(r_ff[(f, g)])
-    return float(r_ff[(g, f)])
+    return float(_su_rows(codes_a[None, :], codes_b)[0])
 
 
 def merit(
@@ -117,18 +111,28 @@ def merit(
     feature_class_corr: Mapping[str, float],
     feature_feature_corr: Mapping[tuple[str, str], float],
 ) -> float:
-    """Merit = k r_fc / sqrt(k + k (k-1) r_ff), means over the subset."""
+    """Merit k r_fc / sqrt(k + k (k-1) r_ff), means over the subset.
+
+    Computed as sum r_fc / sqrt(k + 2 sum r_ff), both sums in subset
+    order; the pair sum adds, member by member, the sum of that member's
+    pairs with the members before it.  ``forward_search`` keeps these
+    sums as running totals, so its merits equal this value bit for bit.
+    Pair keys may be given in either order.
+    """
     k = len(subset)
     if k < 1:
         raise ValueError("subset must contain at least one feature")
     if len(set(subset)) != k:
         raise ValueError("subset contains repeated features")
-    mean_fc = sum(float(feature_class_corr[f]) for f in subset) / k
-    if k == 1:
-        return mean_fc
-    pairs = list(itertools.combinations(subset, 2))
-    mean_ff = sum(_pair_lookup(feature_feature_corr, f, g) for f, g in pairs) / len(pairs)
-    return k * mean_fc / math.sqrt(k + k * (k - 1) * mean_ff)
+    sum_fc = sum_ff = 0.0
+    for j, g in enumerate(subset):
+        sum_fc += float(feature_class_corr[g])
+        pairs = 0.0
+        for f in subset[:j]:
+            key = (f, g) if (f, g) in feature_feature_corr else (g, f)
+            pairs += float(feature_feature_corr[key])
+        sum_ff += pairs
+    return sum_fc / math.sqrt(k + 2.0 * sum_ff)
 
 
 @dataclass(frozen=True)
@@ -187,33 +191,24 @@ def forward_search(
     n_seizure, n_normal = table.class_counts()
     if n_seizure == 0 or n_normal == 0:
         raise ValueError("both classes must be present for selection")
-    labels = table.labels.astype(np.int64)
-    codes = {name: discretize(table.column(name), n_bins) for name in names}
-    r_fc = {name: symmetric_correlation(codes[name], labels) for name in names}
-    r_ff: dict[tuple[str, str], float] = {}
-
-    def pair_corr(f: str, g: str) -> float:
-        key = (f, g) if f <= g else (g, f)
-        if key not in r_ff:
-            r_ff[key] = symmetric_correlation(codes[key[0]], codes[key[1]])
-        return r_ff[key]
-
-    selected: list[str] = []
+    codes = np.empty((len(names), len(table)), dtype=np.int64)
+    for row, name in zip(codes, names):
+        row[:] = discretize(table.column(name), n_bins)
+    r_fc = _su_rows(codes, table.labels)
+    r_ff = np.zeros(len(names))  # each column's summed SU with the members
+    sum_fc = sum_ff = 0.0
+    selected: list[int] = []
     merits: list[float] = []
-    remaining = list(names)
+    remaining = list(range(len(names)))
     while len(selected) < max_size:
-        best_name = None
-        best_key: tuple[float, float] | None = None
-        for name in remaining:
-            for prev in selected:
-                pair_corr(prev, name)
-            candidate_merit = merit(selected + [name], r_fc, r_ff)
-            key = (candidate_merit, r_fc[name])
-            if best_key is None or key > best_key or (key == best_key and name < best_name):
-                best_key = key
-                best_name = name
-        selected.append(best_name)
-        merits.append(best_key[0])
-        remaining.remove(best_name)
-    best_size = int(np.argmax(merits)) + 1
-    return MeritTrace(features=tuple(selected), merits=tuple(merits), best_size=best_size)
+        if selected:
+            r_ff += _su_rows(codes, codes[selected[-1]])
+        scores = (sum_fc + r_fc) / np.sqrt(len(selected) + 1 + 2.0 * (sum_ff + r_ff))
+        best = min(remaining, key=lambda c: (-scores[c], -r_fc[c], names[c]))
+        selected.append(best)
+        merits.append(float(scores[best]))
+        remaining.remove(best)
+        sum_fc += r_fc[best]
+        sum_ff += r_ff[best]
+    features = tuple(names[i] for i in selected)
+    return MeritTrace(features, tuple(merits), best_size=int(np.argmax(merits)) + 1)

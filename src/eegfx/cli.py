@@ -94,22 +94,18 @@ def cmd_evaluate(args, created: list[Path]) -> None:
         )
     print(f"err_0 = {err0(n_seizure, n_normal):.4f}")
 
-    reports = []
-    skipped = []
-    for column in table.feature_names:
-        if not np.all(np.isfinite(table.column(column))):
-            skipped.append(column)
-            continue
-        feature, hemisphere = _split_column(column)
-        reports.append(
-            feature_significance(
-                table,
-                feature,
-                hemisphere,
-                threshold=config.threshold,
-                n_grid=config.kde_grid,
-            )
+    finite = np.isfinite(table.values).all(axis=0)
+    skipped = [c for c, ok in zip(table.feature_names, finite) if not ok]
+    reports = [
+        feature_significance(
+            table,
+            *_split_column(column),
+            threshold=config.threshold,
+            n_grid=config.kde_grid,
         )
+        for column, ok in zip(table.feature_names, finite)
+        if ok
+    ]
     if skipped:
         print(
             f"skipping {len(skipped)} column(s) with undefined values: "
@@ -118,7 +114,7 @@ def cmd_evaluate(args, created: list[Path]) -> None:
         )
     if not reports:
         raise ValueError("no finite feature columns to evaluate")
-    reports.sort(key=lambda r: r.rate, reverse=True)
+    reports.sort(key=lambda r: (-r.rate, f"{r.feature_id}{r.hemisphere}"))
     _write_text(Path(args.out), significance_csv(reports), created)
     significant = sum(1 for r in reports if r.significant)
     print(

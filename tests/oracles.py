@@ -6,6 +6,8 @@ Conventions mirror the documented library contracts: natural log, Chebyshev
 distance, inclusive tolerance (d <= r).  The KDE reference is the exact
 O(grid x N) direct sum, blocked over samples with numpy so it finishes at
 the paper's epoch counts; it shares no code with the library's binned KDE.
+The CFS reference is the pair-by-pair greedy search: one bincount per
+pair, p @ log p entropies, and every candidate's merit summed afresh.
 """
 
 import math
@@ -163,3 +165,82 @@ def direct_bayes_error(model, n_grid=4096):
         )
     )
     return float(np.trapezoid(weighted, grid))
+
+
+def naive_discretize(values, n_bins):
+    """Rank codes floor(first_rank * n_bins / N) by sort and binary search."""
+    a = np.asarray(values, dtype=np.float64)
+    return np.searchsorted(np.sort(a), a, side="left") * n_bins // a.size
+
+
+def _naive_entropy(counts):
+    p = np.sort(counts[counts > 0]) / counts.sum()
+    return float(-(p @ np.log(p)))
+
+
+def naive_symmetric_correlation(a, b):
+    """2 I(a;b) / (H(a) + H(b)) from one bincount per pair, p @ log p entropies.
+
+    Nonzero counts are sorted first, so SU(a, b) == SU(b, a) exactly, and
+    pairs whose tables hold the same counts in another layout give the
+    same float: rounding does not break their ties.
+    """
+    n_b = int(b.max()) + 1
+    h_a, h_b = _naive_entropy(np.bincount(a)), _naive_entropy(np.bincount(b))
+    if h_a + h_b == 0.0:
+        return 0.0
+    info = h_a + h_b - _naive_entropy(np.bincount(a * n_b + b))
+    return max(0.0, 2.0 * info / (h_a + h_b))
+
+
+def _naive_merit(subset, r_fc, pair):
+    """k mean_fc / sqrt(k + k (k-1) mean_ff), each member's pairs summed first.
+
+    Plain left-to-right float sums in the library's documented grouping.
+    Another grouping lets rounding alone order candidates whose pair
+    correlations are the same values against other members, which the
+    exact-order comparison with the library cannot allow.
+    """
+    k = len(subset)
+    sum_fc = total = 0.0
+    for j, g in enumerate(subset):
+        sum_fc += r_fc[g]
+        partial = 0.0
+        for f in subset[:j]:
+            partial += pair(f, g)
+        total += partial
+    if k == 1:
+        return sum_fc
+    return k * (sum_fc / k) / math.sqrt(k + k * (k - 1) * (total / (k * (k - 1) / 2)))
+
+
+def naive_forward_search(table, max_size, n_bins):
+    """Greedy CFS recomputing every candidate's merit from all its pairs.
+
+    Returns (features, merits).  Ties in merit fall to the higher
+    feature-class correlation, then to name order.
+    """
+    names = table.feature_names
+    labels = table.labels.astype(np.int64)
+    codes = {n: naive_discretize(table.column(n), n_bins) for n in names}
+    r_fc = {n: naive_symmetric_correlation(codes[n], labels) for n in names}
+    r_ff = {}
+
+    def pair(f, g):
+        key = (f, g) if f <= g else (g, f)
+        if key not in r_ff:
+            r_ff[key] = naive_symmetric_correlation(codes[key[0]], codes[key[1]])
+        return r_ff[key]
+
+    selected, merits = [], []
+    remaining = list(names)
+    while len(selected) < max_size:
+        best_name, best_key = None, None
+        for name in remaining:
+            key = (_naive_merit(selected + [name], r_fc, pair), r_fc[name])
+            if best_key is None or key > best_key or (key == best_key and name < best_name):
+                best_name, best_key = name, key
+        selected.append(best_name)
+        merits.append(best_key[0])
+        remaining.remove(best_name)
+    return tuple(selected), tuple(merits)

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 import math
@@ -5,15 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from eegfx.cfs import (
-    DiscretizedFeature,
     MeritTrace,
+    _su_rows,
     discretize,
     forward_search,
     merit,
     symmetric_correlation,
 )
 from eegfx.feature_table import FeatureTable
+from oracles import naive_forward_search
 
 
 def _table(columns: dict, labels):
@@ -33,25 +38,25 @@ def test_discretize_equal_frequency():
     rng = np.random.default_rng(0)
     values = rng.permutation(np.linspace(-5.0, 5.0, 100))
     codes = discretize(values, n_bins=10)
-    assert np.array_equal(np.bincount(codes.bins), np.full(10, 10))
+    assert np.array_equal(np.bincount(codes), np.full(10, 10))
 
 
 def test_discretize_constant_is_single_bin():
     codes = discretize(np.full(40, 7.7), n_bins=10)
-    assert np.all(codes.bins == 0)
+    assert codes.dtype == np.int64 and np.all(codes == 0)
 
 
 def test_discretize_ties_share_lower_bin():
     codes = discretize(np.array([1.0, 1.0, 2.0, 3.0]), n_bins=2)
-    assert codes.bins.tolist() == [0, 0, 1, 1]
+    assert codes.tolist() == [0, 0, 1, 1]
 
 
 def test_discretize_is_rank_based():
     rng = np.random.default_rng(1)
     values = rng.standard_normal(200)
-    base = discretize(values).bins
-    assert np.array_equal(discretize(np.exp(values)).bins, base)
-    assert np.array_equal(discretize(3.0 * values + 10.0).bins, base)
+    base = discretize(values)
+    assert np.array_equal(discretize(np.exp(values)), base)
+    assert np.array_equal(discretize(3.0 * values + 10.0), base)
 
 
 def test_discretize_validation():
@@ -59,8 +64,8 @@ def test_discretize_validation():
         discretize(np.array([1.0, np.inf]))
     with pytest.raises(ValueError):
         discretize(np.array([1.0, 2.0]), n_bins=1)
-    with pytest.raises(ValueError):
-        DiscretizedFeature(bins=np.array([0, 5]), n_bins=3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        symmetric_correlation(np.array([0, -1]), np.array([0, 1]))
 
 
 def test_su_identical_is_one():
@@ -70,8 +75,8 @@ def test_su_identical_is_one():
 
 def test_su_independent_is_near_zero():
     rng = np.random.default_rng(3)
-    a = DiscretizedFeature(bins=rng.integers(0, 10, size=10000), n_bins=10)
-    b = DiscretizedFeature(bins=rng.integers(0, 10, size=10000), n_bins=10)
+    a = rng.integers(0, 10, size=10000)
+    b = rng.integers(0, 10, size=10000)
     assert symmetric_correlation(a, b) < 0.02
 
 
@@ -86,16 +91,16 @@ def test_su_is_symmetric():
     rng = np.random.default_rng(4)
     for _ in range(20):
         a = discretize(rng.standard_normal(300))
-        b = discretize(rng.standard_normal(300) + 0.5 * a.bins)
+        b = discretize(rng.standard_normal(300) + 0.5 * a)
         assert abs(symmetric_correlation(a, b) - symmetric_correlation(b, a)) < 1e-12
 
 
 def test_su_invariant_under_code_relabeling():
     rng = np.random.default_rng(5)
     a = discretize(rng.standard_normal(500))
-    b = discretize(rng.standard_normal(500) + a.bins)
+    b = discretize(rng.standard_normal(500) + a)
     perm = rng.permutation(10)
-    relabeled = DiscretizedFeature(bins=perm[a.bins], n_bins=10)
+    relabeled = perm[a]
     assert symmetric_correlation(relabeled, b) == pytest.approx(
         symmetric_correlation(a, b), abs=1e-12
     )
@@ -103,7 +108,7 @@ def test_su_invariant_under_code_relabeling():
 
 def test_su_accepts_raw_labels():
     labels = np.array([0, 1, 0, 1, 0, 1])
-    feature = DiscretizedFeature(bins=np.array([0, 9, 0, 9, 0, 9]), n_bins=10)
+    feature = np.array([0, 9, 0, 9, 0, 9])
     assert symmetric_correlation(feature, labels) == pytest.approx(1.0)
 
 
@@ -255,3 +260,111 @@ def test_trace_validation():
         MeritTrace(features=("A",), merits=(0.5,), best_size=2)
     with pytest.raises(ValueError, match="maximum merit"):
         MeritTrace(features=("A", "B"), merits=(0.5, 0.9), best_size=1)
+
+
+# perfbench's four column shapes, with effect sizes from none to strong
+_SHAPES = (
+    lambda z, rng: 10.0 + 3.0 * z,
+    lambda z, rng: np.exp(0.8 * z),
+    lambda z, rng: rng.poisson(np.exp(1.5 + 0.4 * z)).astype(float),
+    lambda z, rng: 1.0 / (1.0 + np.exp(-z)),
+)
+
+
+def _mixed_table(rows: int, seed: int) -> FeatureTable:
+    """152 shaped columns plus tie-heavy Poisson, constant and duplicate ones."""
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(rows, dtype=int)
+    labels[rng.choice(rows, size=max(1, rows // 5), replace=False)] = 1
+    cols = {}
+    for j in range(152):
+        z = rng.standard_normal(rows) + 0.3 * (j % 5) * labels
+        cols[f"S{j:03d}"] = _SHAPES[j % 4](z, rng)
+    for j in range(8):
+        cols[f"P{j}"] = rng.poisson(0.7 + labels).astype(float)
+    cols["K0"] = np.full(rows, 3.0)
+    cols["K1"] = np.zeros(rows)
+    for j in (0, 1, 2, 5):  # copies named before and after every S column
+        cols[f"A{j}"] = cols[f"S{j:03d}"].copy()
+        cols[f"Z{j}"] = cols[f"S{j:03d}"].copy()
+    names = list(cols)
+    rng.shuffle(names)
+    return _table({n: cols[n] for n in names}, labels)
+
+
+@pytest.mark.parametrize("n_bins", [2, 10, 17])
+@pytest.mark.parametrize("rows", [3, 9, 45, 400])
+def test_forward_search_matches_naive_oracle(rows, n_bins):
+    table = _mixed_table(rows, seed=rows * 100 + n_bins)
+    assert 0 < table.labels.sum() < rows
+    features, merits = naive_forward_search(table, 8, n_bins)
+    trace = forward_search(table, max_size=8, n_bins=n_bins)
+    assert trace.features == features
+    np.testing.assert_allclose(trace.merits, merits, rtol=1e-12, atol=0.0)
+    codes = {n: discretize(table.column(n), n_bins) for n in trace.features}
+    r_fc = {n: symmetric_correlation(c, table.labels) for n, c in codes.items()}
+    r_ff = {
+        (f, g): symmetric_correlation(codes[f], codes[g])
+        for f, g in itertools.combinations(trace.features, 2)
+    }
+    for size, recorded in enumerate(trace.merits, start=1):
+        assert recorded == merit(trace.features[:size], r_fc, r_ff)
+
+
+def _code_pairs(rng):
+    for n in (1, 2, 7, 50, 400, 3000):
+        for bins in (1, 2, 10, 17):
+            a = rng.integers(0, bins, size=n)
+            yield a, (a + rng.integers(0, 2, size=n)) % bins
+            yield a, rng.integers(0, 2, size=n)
+
+
+def test_su_kernel_is_exactly_symmetric_and_code_range_free():
+    rng = np.random.default_rng(15)
+    for a, b in _code_pairs(rng):
+        su = symmetric_correlation(a, b)
+        assert symmetric_correlation(b, a) == su
+        assert symmetric_correlation(2 * a, b) == su
+        assert symmetric_correlation(a, 3 * b + 1) == su
+
+
+@pytest.mark.parametrize("n, bins", [(8192, 10), (40, 17), (5, 2)])
+def test_su_kernel_batch_rows_equal_1d_calls(n, bins):
+    rng = np.random.default_rng(n + bins)
+    codes = rng.integers(0, bins, size=(40, n))
+    codes[3] = 0  # constant row
+    codes[7] = codes[2] * 2  # sparser copy of another row
+    for b in (codes[5], rng.integers(0, 2, size=n)):
+        batch = _su_rows(codes, b)
+        assert np.array_equal(batch, [symmetric_correlation(row, b) for row in codes])
+
+
+_grid_values = st.lists(st.integers(-160, 160), min_size=1, max_size=80).map(
+    lambda v: np.asarray(v, dtype=float) / 8.0
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_grid_values, n_bins=st.integers(2, 20))
+def test_discretize_invariant_under_increasing_transforms(values, n_bins):
+    base = discretize(values, n_bins)
+    assert np.array_equal(discretize(np.exp(values), n_bins), base)
+    assert np.array_equal(discretize(2.5 * values + 7.0, n_bins), base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_grid_values, n_bins=st.integers(2, 20))
+def test_discretize_ties_share_lowest_code(values, n_bins):
+    codes = discretize(values, n_bins)
+    for v in np.unique(values):
+        tied = codes[values == v]
+        first_rank = int(np.sum(values < v))
+        assert np.all(tied == first_rank * n_bins // values.size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_grid_values, n_bins=st.integers(2, 20))
+def test_discretize_matches_sorted_list_oracle(values, n_bins):
+    ordered = sorted(values.tolist())
+    want = [bisect.bisect_left(ordered, v) * n_bins // len(ordered) for v in values.tolist()]
+    assert discretize(values, n_bins).tolist() == want

@@ -161,6 +161,26 @@ class TestEvaluate:
         assert table.feature_names[0] in captured.err
         assert len(out.read_text().splitlines()) == len(table.feature_names)
 
+    def test_equal_rates_sort_by_column_name(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        labels = np.repeat([0, 1], 40)
+        shared = rng.standard_normal(80) + labels
+        broken = rng.standard_normal(80)
+        broken[5] = np.nan
+        table = FeatureTable(records=("r",) * 80,
+                             epoch_starts=np.arange(80.0),
+                             labels=labels,
+                             feature_names=("B", "Broken", "A"),
+                             values=np.column_stack([shared, broken, shared]))
+        src = tmp_path / "twins.csv"
+        table.write_csv(src)
+        out = tmp_path / "sig.csv"
+        assert run("evaluate", "--input", src, "--out", out) == 0
+        assert "Broken" in capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["A", "B"]
+        assert rows[0][2:] == rows[1][2:]
+
     def test_single_class_table_fails(self, tmp_path, capsys):
         edf = tmp_path / "flat.edf"
         feats = tmp_path / "flat.csv"
@@ -244,6 +264,15 @@ def test_console_script_is_wired():
     assert proc.returncode == 0, proc.stderr
     for command in COMMANDS:
         assert command in proc.stdout
+
+
+def test_dependency_floors_cover_numpy2_calls():
+    """``np.vecdot`` and ``np.trapezoid`` exist from numpy 2.0 on."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert "numpy>=2.0" in dependencies
+    assert "scipy>=1.13" in dependencies
 
 
 @pytest.mark.skipif(shutil.which("eegfx") is None, reason="no eegfx executable on PATH")
