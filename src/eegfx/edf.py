@@ -59,6 +59,12 @@ class EdfSignal:
                 f"signal {self.label!r} physical range is empty "
                 f"({self.physical_min} .. {self.physical_max})"
             )
+        if not 0.0 < abs(self.gain) < np.inf:
+            raise ValueError(
+                f"signal {self.label!r} physical range "
+                f"({self.physical_min} .. {self.physical_max}) gives a digital "
+                f"step of {self.gain}"
+            )
         if self.samples_per_record <= 0:
             raise ValueError(
                 f"signal {self.label!r} declares {self.samples_per_record} "
@@ -226,11 +232,11 @@ def read_edf(path: str | Path) -> Record:
     rows = []
     offset = 0
     for sig in header.signals:
-        block = digital[:, offset : offset + sig.samples_per_record]
-        rows.append(
-            (block.reshape(-1).astype(np.float64) - sig.digital_min) * sig.gain
-            + sig.physical_min
-        )
+        codes = digital[:, offset : offset + sig.samples_per_record].reshape(-1)
+        physical = (codes.astype(np.float64) - sig.digital_min) * sig.gain + sig.physical_min
+        # digital_max is physical_max by definition; the formula can round
+        # past it, and a re-write would then reject the sample
+        rows.append(np.where(codes == sig.digital_max, sig.physical_max, physical))
         offset += sig.samples_per_record
     return Record(
         channels=tuple(s.label for s in header.signals),
@@ -258,7 +264,7 @@ def _format_fields(items, fields) -> bytes:
 
 def _format_range(value: float, what: str) -> str:
     """Render a physical bound in <= 8 characters without losing precision."""
-    if float(value) == int(value) and abs(value) < 1e8:
+    if float(value).is_integer() and abs(value) < 1e8:
         text = str(int(value))
         if len(text) <= 8:
             return text
@@ -340,7 +346,8 @@ def write_edf(
     offset = 0
     for row, sig in enumerate(header.signals):
         samples = record.data[row]
-        if samples.min() < sig.physical_min or samples.max() > sig.physical_max:
+        # negated, so that a NaN sample (min and max NaN) fails it too
+        if not sig.physical_min <= samples.min() <= samples.max() <= sig.physical_max:
             raise ValueError(
                 f"channel {sig.label!r} samples span "
                 f"[{samples.min()}, {samples.max()}], outside the physical "

@@ -64,10 +64,6 @@ class Psd:
         total = power.sum(axis=-1)
         object.__setattr__(self, "total_power", total if power.ndim == 2 else float(total))
 
-    @property
-    def nyquist(self) -> float:
-        return float(self.freqs[-1])
-
 
 def welch(samples, fs: float, segment: int = _WELCH_SEGMENT) -> Psd:
     """One-sided Welch PSD of a signal or of each row of a matrix: Hamming

@@ -12,6 +12,11 @@ samples lie within r of each other are ever compared (Manis, Aktaruzzaman
 & Sassi, "Low computational cost for sample entropy", Entropy 20(1):61,
 2018). Every candidate is then checked with the same per-sample test,
 |x[i+k] - x[j+k]| <= r, so the counts are exact, not approximate.
+
+FuzzEn and DistEn share one pair engine (``_pair_distances``): the
+Chebyshev distance of every unordered pair of mean-removed windows,
+visited once, a block of rows at a time, so memory is O(block x N)
+rather than O(N^2).
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ __all__ = [
     "zero_crossings",
 ]
 
-# Rows per block when tiling pairwise template distances; keeps the O(N^2)
-# work in large matrix ops without holding the full distance matrix.
+# Rows per block of the pair engine; keeps the O(N^2) work in large matrix
+# ops without holding all N^2 / 2 pair distances at once.
 _BLOCK_ROWS = 128
 
 # Candidate pairs checked per chunk in template matching. Peak memory stays
@@ -224,13 +229,17 @@ def shannon_entropy(x, n_bins: int = 64) -> float:
     return _entropy(counts / a.size)
 
 
-def _check_template_args(a: np.ndarray, m: int, r: float) -> None:
+def _template_args(x, m: int, r: float | None) -> tuple[np.ndarray, float]:
+    """The signal and tolerance of a template entropy: m >= 1, N >= m + 2,
+    and r > 0, r defaulting to 0.2 * sample SD."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if a.size < m + 2:
-        raise ValueError(f"need N >= m + 2, got N={a.size}, m={m}")
+    a = _as_signal(x, m + 2)
+    if r is None:
+        r = 0.2 * float(a.std(ddof=1))
     if not r > 0:
         raise ValueError("tolerance r must be > 0")
+    return a, r
 
 
 def _template_match_counts(
@@ -302,10 +311,7 @@ def template_entropies(x, m: int = 2, r: float | None = None) -> tuple[float, fl
     when no (m+1)-pair matches. Raises on m < 1, N < m + 2, r <= 0 (a
     constant signal under the default r) or a non-finite sample.
     """
-    a = _as_signal(x, m + 2)
-    if r is None:
-        r = 0.2 * float(a.std(ddof=1))
-    _check_template_args(a, m, r)
+    a, r = _template_args(x, m, r)
     if not np.isfinite(a).all():
         raise ValueError("template matching needs finite samples")
     counts_m, counts_m1 = _template_match_counts(a, m, r)
@@ -342,12 +348,16 @@ def sample_entropy(x, m: int = 2, r: float | None = None) -> float:
     return sampen
 
 
-def _ordinal_patterns(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _ordinal_patterns(x, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank patterns of all stride-1 windows, ties keeping earlier index first.
 
-    Returns (pattern id per window, window matrix).
+    Returns (pattern id per window, window matrix); 1 <= m <= 8.
     """
-    windows = sliding_window_view(a, m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > 8:
+        raise ValueError("m > 8 is intractable (m! patterns)")
+    windows = sliding_window_view(_as_signal(x, m), m)
     order = np.argsort(windows, axis=1, kind="stable")
     # encode each permutation as an integer in factorial-free base m
     ids = np.zeros(windows.shape[0], dtype=np.int64)
@@ -358,12 +368,7 @@ def _ordinal_patterns(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def permutation_entropy(x, m: int = 3) -> float:
     """Entropy of the rank-order pattern distribution of stride-1 windows."""
-    a = _as_signal(x, m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > 8:
-        raise ValueError("m > 8 is intractable (m! patterns)")
-    ids, _ = _ordinal_patterns(a, m)
+    ids, _ = _ordinal_patterns(x, m)
     _, counts = np.unique(ids, return_counts=True)
     return _entropy(counts / ids.size)
 
@@ -375,12 +380,7 @@ def weighted_permutation_entropy(x, m: int = 3) -> float:
     signal whose every window is constant carries zero total weight and
     returns 0.
     """
-    a = _as_signal(x, m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > 8:
-        raise ValueError("m > 8 is intractable (m! patterns)")
-    ids, windows = _ordinal_patterns(a, m)
+    ids, windows = _ordinal_patterns(x, m)
     weights = windows.var(axis=1)
     total = weights.sum()
     if total == 0.0:
@@ -390,22 +390,19 @@ def weighted_permutation_entropy(x, m: int = 3) -> float:
     return _entropy(p)
 
 
-def _centered_windows(a: np.ndarray, length: int, count: int) -> np.ndarray:
+def _pair_distances(a: np.ndarray, length: int, count: int):
+    """Chebyshev distances of the unordered pairs i < j of the first
+    ``count`` mean-removed windows of ``length`` samples, yielded one block
+    of ``_BLOCK_ROWS`` values of i at a time, each pair exactly once."""
     windows = sliding_window_view(a, length)[:count]
-    return windows - windows.mean(axis=1, keepdims=True)
-
-
-def _gaussian_similarity_sum(windows: np.ndarray, r: float) -> float:
-    """Sum of exp(-d^2/(2r^2)) over ordered pairs i != j of rows."""
-    n, length = windows.shape
-    total = 0.0
-    for lo in range(0, n, _BLOCK_ROWS):
-        blk = windows[lo : lo + _BLOCK_ROWS]
-        d = np.abs(blk[:, None, 0] - windows[None, :, 0])
+    windows = windows - windows.mean(axis=1, keepdims=True)
+    for lo in range(0, count - 1, _BLOCK_ROWS):
+        blk, rest = windows[lo : lo + _BLOCK_ROWS], windows[lo + 1 :]
+        d = np.abs(blk[:, None, 0] - rest[None, :, 0])
         for k in range(1, length):
-            np.maximum(d, np.abs(blk[:, None, k] - windows[None, :, k]), out=d)
-        total += float(np.exp(-(d * d) / (2.0 * r * r)).sum())
-    return total - n  # drop the n self-pairs (similarity exactly 1)
+            np.maximum(d, np.abs(blk[:, None, k] - rest[None, :, k]), out=d)
+        # row p is window lo + p and column q window lo + 1 + q: keep q >= p
+        yield d[np.arange(len(blk))[:, None] <= np.arange(len(rest))]
 
 
 def fuzzy_entropy(x, m: int = 2, r: float | None = None) -> float:
@@ -414,41 +411,41 @@ def fuzzy_entropy(x, m: int = 2, r: float | None = None) -> float:
     Similarity between windows is the Gaussian exp(-d^2/(2r^2)) of their
     Chebyshev distance; the same N-m leading windows are compared at
     lengths m and m+1 so the pair counts cancel in
-    ln(phi(m)) - ln(phi(m+1)). r defaults to 0.2 * sample SD.
+    ln(phi(m)) - ln(phi(m+1)), and so does summing each unordered pair
+    once rather than both orders. r defaults to 0.2 * sample SD.
     """
-    a = _as_signal(x, m + 2)
-    if r is None:
-        r = 0.2 * float(a.std(ddof=1))
-    _check_template_args(a, m, r)
-    count = a.size - m
-    sim_m = _gaussian_similarity_sum(_centered_windows(a, m, count), r)
-    sim_m1 = _gaussian_similarity_sum(_centered_windows(a, m + 1, count), r)
+    a, r = _template_args(x, m, r)
+    sim_m, sim_m1 = (
+        sum(float(np.exp(-(d * d) / (2.0 * r * r)).sum()) for d in pairs)
+        for pairs in (_pair_distances(a, m, a.size - m), _pair_distances(a, m + 1, a.size - m))
+    )
     return math.log(sim_m) - math.log(sim_m1)
 
 
 def distribution_entropy(x, m: int = 2, n_bins: int = 256) -> float:
     """Normalized entropy of the template-distance histogram, in [0, 1].
 
-    Chebyshev distances between all ordered pairs of distinct mean-removed
+    Chebyshev distances between all pairs of distinct mean-removed
     windows (same window construction as fuzzy_entropy) are binned into
     n_bins equal-width bins over [0, max distance]; entropy is normalized
     by ln(n_bins). A constant signal puts every distance in one bin -> 0.
+    The distances are computed twice, once for the maximum and once for
+    the counts, rather than held all at once.
     """
     a = _as_signal(x, m + 2)
     if m < 1:
         raise ValueError("m must be >= 1")
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    windows = _centered_windows(a, m, a.size - m)
-    n = windows.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    d = np.abs(windows[iu] - windows[ju]).max(axis=1)
-    dmax = float(d.max())
+    count = a.size - m
+    dmax = float(np.max([d.max() for d in _pair_distances(a, m, count)]))
     if dmax == 0.0:
         return 0.0
-    counts, _ = np.histogram(d, bins=n_bins, range=(0.0, dmax))
+    counts = sum(
+        np.histogram(d, bins=n_bins, range=(0.0, dmax))[0] for d in _pair_distances(a, m, count)
+    )
     # unordered pairs: ordered-pair histogram is exactly 2x, same frequencies
-    return _entropy(counts / d.size) / math.log(n_bins)
+    return _entropy(counts / (count * (count - 1) // 2)) / math.log(n_bins)
 
 
 def svd_entropy(x, m: int = 3, delay: int = 1) -> float:

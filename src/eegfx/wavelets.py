@@ -23,7 +23,6 @@ from typing import Mapping
 
 import numpy as np
 
-from eegfx.signals import Epoch
 from eegfx.time_features import energy, line_length, moments
 
 __all__ = [
@@ -151,8 +150,6 @@ def _synthesize(
 
 
 def _samples_of(signal) -> np.ndarray:
-    if isinstance(signal, Epoch):
-        return signal.samples
     a = np.asarray(signal, dtype=np.float64)
     if a.ndim not in (1, 2) or a.shape[-1] < 2:
         raise ValueError("need a 1-D signal (or rows of a matrix) of length >= 2")
@@ -162,7 +159,7 @@ def _samples_of(signal) -> np.ndarray:
 
 
 def dwt(signal, wavelet: str = "d4", levels: int = 5) -> WaveletDecomposition:
-    """Decompose an epoch, a sample vector or each matrix row into ``levels`` bands.
+    """Decompose a sample vector or each matrix row into ``levels`` bands.
 
     Requires at least 2**levels samples so the deepest band is nonempty.
     """

@@ -191,6 +191,22 @@ def test_forward_search_breaks_exact_ties_by_name():
     assert trace.features == ("A",)
 
 
+def test_forward_search_breaks_merit_ties_by_class_correlation(monkeypatch):
+    # After A, B scores 0.5625 / sqrt(2) and C 0.703125 / sqrt(3.125): the
+    # same double, so the higher r_fc (C) must win over the name order (B).
+    sus = iter([
+        np.array([0.5, 0.0625, 0.203125]),  # each column with the labels
+        np.array([1.0, 0.0, 0.5625]),  # each column with the member A
+    ])
+    monkeypatch.setattr("eegfx.cfs._su_rows", lambda codes, b: next(sus))
+    rng = np.random.default_rng(12)
+    labels = rng.integers(0, 2, size=40)
+    table = _table({name: rng.standard_normal(40) for name in "ABC"}, labels)
+    trace = forward_search(table, max_size=2)
+    assert trace.merits[1] == 0.5625 / math.sqrt(2.0)
+    assert trace.features == ("A", "C")
+
+
 def test_forward_search_merits_are_self_consistent():
     rng = np.random.default_rng(11)
     labels = rng.integers(0, 2, size=300)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from eegfx.edf import EdfHeader, EdfSignal, read_edf, read_edf_header, write_edf
 from eegfx.signals import Record
@@ -112,6 +114,47 @@ class TestWriteRead:
         record = _random_record(seed=5)
         with pytest.raises(ValueError, match="outside the physical"):
             write_edf(record, tmp_path / "a.edf", physical_range=(-1.0, 1.0))
+        record = Record(channels=("A",), data=[[0.0, np.nan]], fs=2.0)
+        with pytest.raises(ValueError, match="outside the physical"):
+            write_edf(record, tmp_path / "b.edf", physical_range=(-1.0, 1.0))
+
+
+# A bound is any double, or a short decimal that fits the 8-character field.
+_BOUNDS = st.one_of(
+    st.floats(),
+    st.integers(-(10**9), 10**9).map(float),
+    st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(-999, 999), st.integers(-330, 310)),
+)
+_RANGE_ERRORS = ("does not fit", "physical range is empty", "digital step")
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(lo=_BOUNDS, hi=_BOUNDS, u=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+@example(lo=-1.0, hi=0.1, u=[0.5] * 6)  # the top code once read back past 0.1
+@example(lo=0.0, hi=1e-304, u=[0.5] * 6)  # a subnormal digital step
+@example(lo=0.0, hi=5e-324, u=[0.5] * 6)  # a step that rounds to 0
+@example(lo=-1e308, hi=1e308, u=[0.5] * 6)  # a span that overflows
+@example(lo=0.0, hi=float("inf"), u=[0.5] * 6)
+def test_any_physical_range_round_trips_or_is_refused(tmp_path, lo, hi, u):
+    # samples include both bounds; the first write quantizes, and the
+    # second write of the read-back record must reproduce it exactly
+    u = np.array([0.0, 1.0, *u])
+    with np.errstate(all="ignore"):
+        data = (lo * (1.0 - u) + hi * u)[None, :]
+    record = Record(channels=("A",), data=data, fs=4.0)
+    f, g = tmp_path / "a.edf", tmp_path / "b.edf"
+    try:
+        write_edf(record, f, physical_range=(lo, hi))
+    except ValueError as err:
+        assert any(name in str(err) for name in _RANGE_ERRORS), err
+        return
+    first = read_edf(f)
+    header = read_edf_header(f)
+    write_edf(first, g, physical_range=[(s.physical_min, s.physical_max) for s in header.signals])
+    assert np.array_equal(read_edf(g).data, first.data)
+    assert g.read_bytes() == f.read_bytes()
 
 
 class TestDiagnostics:

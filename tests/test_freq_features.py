@@ -37,7 +37,6 @@ def _sine_epoch(freq_hz, n=1024, fs=256.0, amp=1.0, phase=0.0):
 def test_psd_total_power_is_derived():
     psd = _psd([1.0, 2.0, 3.0])
     assert psd.total_power == 6.0
-    assert psd.nyquist == 2.0
 
 
 def test_psd_rejects_bad_inputs():

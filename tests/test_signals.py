@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eegfx.signals import (
     DEFAULT_MONTAGE,
@@ -123,3 +127,25 @@ class TestLabelEpoch:
     def test_epoch_object_accepted(self):
         e = Epoch(samples=np.zeros(1024), fs=256.0, start_time=10.0)
         assert label_epoch(e, [(10.0, 13.0)]) is EpochLabel.SEIZURE
+
+    # Times are multiples of 1/8 s, so every sum and difference the label
+    # takes is exact in floating point and must agree with exact arithmetic.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.integers(0, 400),
+        n=st.integers(2, 200),
+        ticks=st.lists(st.integers(0, 800), unique=True, max_size=12),
+    )
+    @example(start=80, n=32, ticks=[0, 96])  # [10, 14) half covered by [0, 12)
+    @example(start=80, n=32, ticks=[80, 88, 104, 112])  # half, split in two
+    def test_label_matches_exact_coverage_on_a_dyadic_grid(self, start, n, ticks):
+        fs = 8
+        ticks = sorted(ticks)[: len(ticks) // 2 * 2]
+        spans = [(Fraction(a, fs), Fraction(b, fs)) for a, b in zip(ticks[::2], ticks[1::2])]
+        lo, hi = Fraction(start, fs), Fraction(start + n, fs)
+        covered = sum(max(Fraction(0), min(hi, b) - max(lo, a)) for a, b in spans)
+        want = EpochLabel.SEIZURE if 2 * covered > hi - lo else EpochLabel.NORMAL
+        annotations = [(float(a), float(b)) for a, b in spans]
+        epoch = Epoch(samples=np.zeros(n), fs=float(fs), start_time=float(lo))
+        assert label_epoch((float(lo), float(hi)), annotations) is want
+        assert label_epoch(epoch, annotations) is want

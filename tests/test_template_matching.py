@@ -1,4 +1,5 @@
-"""Template-match counting behind ApEn and SampEn.
+"""Template-match counting behind ApEn and SampEn, and the memory of the
+pair engine behind FuzzEn and DistEn.
 
 The sorted-candidate counter must give exactly the per-template counts of
 a brute-force pairwise Chebyshev comparison, on signal families chosen to
@@ -18,6 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from eegfx.time_features import (
     _template_match_counts,
     approximate_entropy,
+    distribution_entropy,
+    fuzzy_entropy,
     sample_entropy,
     template_entropies,
 )
@@ -169,3 +172,17 @@ def test_peak_allocation_is_bounded_on_tie_heavy_input():
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+
+
+@pytest.mark.parametrize("entropy", (distribution_entropy, fuzzy_entropy))
+def test_pair_engine_peak_allocation_is_bounded(entropy):
+    # 4096 samples have 8.4M unordered window pairs; held at once, their
+    # distances alone would take 64 MiB and their indices twice that.
+    x = np.random.default_rng(5).standard_normal(4096)
+    tracemalloc.start()
+    try:
+        entropy(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20

@@ -349,6 +349,17 @@ class TestFuzzyEntropy:
                 naive_fuzzen(list(x), 2, r), abs=1e-12
             )
 
+    def test_short_signals_match_oracle(self):
+        # few pairs, all far apart under the default r: the similarity sums
+        # are tiny, and must not be lost against the self-pairs
+        rng = np.random.default_rng(20)
+        for n in range(4, 9):
+            for m in range(1, n - 1):
+                x = rng.standard_normal(n)
+                r = 0.2 * float(x.std(ddof=1))
+                want = naive_fuzzen(list(x), m, r)
+                assert fuzzy_entropy(x, m) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal(50)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from eegfx.signals import Epoch
 from eegfx.time_features import energy, line_length, stat_summary
 from eegfx.wavelets import WaveletDecomposition, dwt, idwt, subband_features
 
@@ -27,13 +26,6 @@ def test_round_trip_handles_awkward_lengths():
             recon = idwt(dwt(x, wavelet=wavelet, levels=5))
             assert recon.size == n
             assert np.max(np.abs(recon - x)) < 1e-8
-
-
-def test_round_trip_accepts_epochs():
-    rng = np.random.default_rng(2)
-    epoch = Epoch(samples=rng.standard_normal(1024), fs=256.0)
-    recon = idwt(dwt(epoch))
-    assert np.max(np.abs(recon - epoch.samples)) < 1e-10
 
 
 def test_energy_partition_is_exact_for_power_of_two_lengths():
