@@ -141,15 +141,15 @@ class MeritTrace:
 
     features: tuple[str, ...]
     merits: tuple[float, ...]
-    best_size: int
 
     def __post_init__(self) -> None:
         if len(self.features) != len(self.merits) or not self.features:
             raise ValueError("one merit per selected feature required")
-        if not 1 <= self.best_size <= len(self.features):
-            raise ValueError("best_size outside the trace")
-        if self.merits[self.best_size - 1] != max(self.merits):
-            raise ValueError("best_size must point at the maximum merit")
+
+    @property
+    def best_size(self) -> int:
+        """Size of the shortest prefix that reaches the maximum merit."""
+        return int(np.argmax(self.merits)) + 1
 
     @property
     def best_subset(self) -> tuple[str, ...]:
@@ -211,4 +211,4 @@ def forward_search(
         sum_fc += r_fc[best]
         sum_ff += r_ff[best]
     features = tuple(names[i] for i in selected)
-    return MeritTrace(features, tuple(merits), best_size=int(np.argmax(merits)) + 1)
+    return MeritTrace(features, tuple(merits))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,6 +17,9 @@ from .signals import DEFAULT_MONTAGE, Montage
 from .wavelets import WAVELETS
 
 __all__ = ["RunConfig"]
+
+# Integer fields and their smallest allowed value.
+_COUNTS = {"levels": 1, "kde_grid": 16, "cfs_bins": 2, "cfs_max_size": 1, "threads": 1}
 
 
 @dataclass(frozen=True)
@@ -39,8 +43,20 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        if isinstance(self.features, str):
+            raise ValueError(f"features must be a list of names, got the string {self.features!r}")
         if self.features is not None:
             object.__setattr__(self, "features", tuple(self.features))
+        for key, low in _COUNTS.items():
+            value = getattr(self, key)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not float(value).is_integer()
+                or value < low
+            ):
+                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, key, int(value))
         if not self.width_s > 0:
             raise ValueError(f"epoch width must be positive, got {self.width_s}")
         if not self.stride_s > 0:
@@ -49,22 +65,12 @@ class RunConfig:
             raise ValueError(
                 f"unknown wavelet {self.wavelet!r}, have {sorted(WAVELETS)}"
             )
-        if not 1 <= int(self.levels) == self.levels:
-            raise ValueError(f"levels must be a positive integer, got {self.levels}")
         if self.features is not None and not self.features:
             raise ValueError("feature list must name at least one feature")
         if not isinstance(self.montage, Montage):
             raise ValueError("montage must be a Montage")
-        if self.kde_grid < 16:
-            raise ValueError(f"KDE grid needs >= 16 points, got {self.kde_grid}")
-        if self.cfs_bins < 2:
-            raise ValueError(f"CFS needs >= 2 bins, got {self.cfs_bins}")
-        if self.cfs_max_size < 1:
-            raise ValueError(f"CFS max size must be >= 1, got {self.cfs_max_size}")
         if not self.threshold >= 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-        if not 1 <= int(self.threads) == self.threads:
-            raise ValueError(f"threads must be a positive integer, got {self.threads}")
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -87,11 +93,7 @@ class RunConfig:
                 raise ValueError(
                     "montage must be an object with 'left' and 'right' lists"
                 )
-            raw["montage"] = Montage(
-                left=tuple(montage["left"]), right=tuple(montage["right"])
-            )
-        if raw.get("features") is not None:
-            raw["features"] = tuple(raw["features"])
+            raw["montage"] = Montage(left=montage["left"], right=montage["right"])
         return cls(**raw)
 
     @classmethod

@@ -61,7 +61,8 @@ class KdeModel:
     _support: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        samples = tuple(np.asarray(s, dtype=np.float64) for s in self.class_samples)
+        # views, frozen below without freezing the caller's arrays
+        samples = tuple(np.asarray(s, dtype=np.float64).view() for s in self.class_samples)
         bandwidths = tuple(float(h) for h in self.bandwidths)
         priors = tuple(float(p) for p in self.priors)
         if len(samples) != 2 or len(bandwidths) != 2 or len(priors) != 2:

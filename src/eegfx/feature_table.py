@@ -35,10 +35,11 @@ class FeatureTable:
 
     def __post_init__(self) -> None:
         records = tuple(str(r) for r in self.records)
-        starts = np.asarray(self.epoch_starts, dtype=np.float64)
+        # views, frozen below without freezing the caller's arrays
+        starts = np.asarray(self.epoch_starts, dtype=np.float64).view()
         labels = np.asarray(self.labels)
         names = tuple(str(n) for n in self.feature_names)
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64).view()
         n = len(records)
         if values.ndim != 2 or values.shape != (n, len(names)):
             raise ValueError("values must be (epoch count) x (feature count)")

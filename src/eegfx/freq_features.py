@@ -9,7 +9,7 @@ one value per row, as the 1-D call computes it, NaN where that raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal
@@ -39,17 +39,16 @@ class Psd:
     ``freqs`` runs strictly increasing from 0 Hz to the Nyquist
     frequency; ``power`` holds one nonnegative value per bin, or one
     such row per signal.  A batch row of NaN is a spectrum that
-    overflowed, undefined.  ``total_power`` is derived (sum of
-    ``power`` along its last axis), not a constructor argument.
+    overflowed, undefined.
     """
 
     freqs: np.ndarray
     power: np.ndarray
-    total_power: float = field(init=False)
 
     def __post_init__(self) -> None:
-        freqs = np.asarray(self.freqs, dtype=np.float64)
-        power = np.asarray(self.power, dtype=np.float64)
+        # views, frozen below without freezing the caller's arrays
+        freqs = np.asarray(self.freqs, dtype=np.float64).view()
+        power = np.asarray(self.power, dtype=np.float64).view()
         if freqs.ndim != 1 or power.ndim > 2 or freqs.shape != power.shape[-1:] or freqs.size < 2:
             raise ValueError("freqs and power must be matching 1-D vectors (>= 2 bins)")
         if freqs[0] != 0.0 or np.any(np.diff(freqs) <= 0):
@@ -61,8 +60,6 @@ class Psd:
         power.flags.writeable = False
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "power", power)
-        total = power.sum(axis=-1)
-        object.__setattr__(self, "total_power", total if power.ndim == 2 else float(total))
 
 
 def welch(samples, fs: float, segment: int = _WELCH_SEGMENT) -> Psd:
@@ -96,10 +93,11 @@ def psd_welch(epoch: Epoch, segment: int = _WELCH_SEGMENT) -> Psd:
 
 
 def _normalized(psd: Psd) -> np.ndarray:
-    if psd.power.ndim == 1 and psd.total_power <= 0.0:
+    total = psd.power.sum(axis=-1, keepdims=True)
+    if psd.power.ndim == 1 and total[0] <= 0.0:
         raise ValueError("zero total power, spectral features undefined")
     with np.errstate(invalid="ignore"):  # a zero-power batch row is 0/0: NaN
-        return psd.power / psd.power.sum(axis=-1, keepdims=True)
+        return psd.power / total
 
 
 def iwmf(psd: Psd) -> float:

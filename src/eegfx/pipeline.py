@@ -19,7 +19,10 @@ A feature undefined on an epoch gives a NaN cell exactly where its 1-D
 function raises ``ValueError`` (constant signal, zero-power spectrum,
 no template match at m+1).  A non-finite sample in a montage channel,
 or an epoch shorter than the Welch segment or the DWT depth, aborts the
-run before any feature is computed.  A side mean is NaN wherever one of
+run before any feature is computed.  An epoch narrower than a batched
+kernel's minimum (2 samples for the moments, line length and zero
+crossings, 3 for Hjorth, NE and local extrema) aborts it with that
+kernel's 1-D length error, "x needs at least n samples".  A side mean is NaN wherever one of
 its channels is not finite; downstream evaluation skips such columns.
 """
 

@@ -32,7 +32,7 @@ class EpochLabel(enum.Enum):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64)
+    out = np.asarray(a, dtype=np.float64).view()  # freeze a view, not the caller's array
     out.flags.writeable = False
     return out
 
@@ -145,6 +145,9 @@ class Montage:
     right: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        for side, labels in (("left", self.left), ("right", self.right)):
+            if isinstance(labels, str):
+                raise ValueError(f"montage {side} side must be a list of labels, got {labels!r}")
         left = tuple(self.left)
         right = tuple(self.right)
         if not left or not right:

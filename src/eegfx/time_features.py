@@ -82,12 +82,15 @@ def _as_signal(x, min_len: int, name: str = "x") -> np.ndarray:
 def _batched(min_len: int, undefined: str | None = None):
     """Take a 1-D signal (scalars out) or an (n_rows, n) matrix (a value per row).
     The kernel works along the last axis only, so a batch row equals the 1-D
-    call bit for bit.  It marks an undefined row NaN, where a 1-D call raises."""
+    call bit for bit.  It marks an undefined row NaN, where a 1-D call raises.
+    A matrix narrower than ``min_len`` raises the 1-D call's length error."""
     def wrap(kernel):
         @functools.wraps(kernel)
         def call(x):
             a = np.asarray(x, dtype=np.float64)
-            if a.ndim == 2 and a.shape[1] >= min_len:
+            if a.ndim == 2:
+                if a.shape[1] < min_len:
+                    raise ValueError(f"x needs at least {min_len} samples, got {a.shape[1]}")
                 return kernel(a)
             out = kernel(_as_signal(a, min_len))
             row = tuple(v.item() for v in out) if isinstance(out, tuple) else out.item()
@@ -390,12 +393,17 @@ def weighted_permutation_entropy(x, m: int = 3) -> float:
     return _entropy(p)
 
 
-def _pair_distances(a: np.ndarray, length: int, count: int):
-    """Chebyshev distances of the unordered pairs i < j of the first
-    ``count`` mean-removed windows of ``length`` samples, yielded one block
-    of ``_BLOCK_ROWS`` values of i at a time, each pair exactly once."""
+def _centered_windows(a: np.ndarray, length: int, count: int) -> np.ndarray:
+    """The first ``count`` windows of ``length`` samples, each mean-removed."""
     windows = sliding_window_view(a, length)[:count]
-    windows = windows - windows.mean(axis=1, keepdims=True)
+    return windows - windows.mean(axis=1, keepdims=True)
+
+
+def _pair_distances(windows: np.ndarray):
+    """Chebyshev distances of the unordered pairs i < j of the rows of
+    ``windows``, yielded one block of ``_BLOCK_ROWS`` values of i at a
+    time, each pair exactly once."""
+    count, length = windows.shape
     for lo in range(0, count - 1, _BLOCK_ROWS):
         blk, rest = windows[lo : lo + _BLOCK_ROWS], windows[lo + 1 :]
         d = np.abs(blk[:, None, 0] - rest[None, :, 0])
@@ -417,7 +425,7 @@ def fuzzy_entropy(x, m: int = 2, r: float | None = None) -> float:
     a, r = _template_args(x, m, r)
     sim_m, sim_m1 = (
         sum(float(np.exp(-(d * d) / (2.0 * r * r)).sum()) for d in pairs)
-        for pairs in (_pair_distances(a, m, a.size - m), _pair_distances(a, m + 1, a.size - m))
+        for pairs in (_pair_distances(_centered_windows(a, k, a.size - m)) for k in (m, m + 1))
     )
     return math.log(sim_m) - math.log(sim_m1)
 
@@ -429,8 +437,9 @@ def distribution_entropy(x, m: int = 2, n_bins: int = 256) -> float:
     windows (same window construction as fuzzy_entropy) are binned into
     n_bins equal-width bins over [0, max distance]; entropy is normalized
     by ln(n_bins). A constant signal puts every distance in one bin -> 0.
-    The distances are computed twice, once for the maximum and once for
-    the counts, rather than held all at once.
+    The largest distance is the largest per-coordinate spread (max - min)
+    of the windows: |u - v| rounds monotonically in u and in v, so no pair
+    rounds above the spread of the coordinate it is read from.
     """
     a = _as_signal(x, m + 2)
     if m < 1:
@@ -438,11 +447,12 @@ def distribution_entropy(x, m: int = 2, n_bins: int = 256) -> float:
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
     count = a.size - m
-    dmax = float(np.max([d.max() for d in _pair_distances(a, m, count)]))
+    windows = _centered_windows(a, m, count)
+    dmax = float((windows.max(axis=0) - windows.min(axis=0)).max())
     if dmax == 0.0:
         return 0.0
     counts = sum(
-        np.histogram(d, bins=n_bins, range=(0.0, dmax))[0] for d in _pair_distances(a, m, count)
+        np.histogram(d, bins=n_bins, range=(0.0, dmax))[0] for d in _pair_distances(windows)
     )
     # unordered pairs: ordered-pair histogram is exactly 2x, same frequencies
     return _entropy(counts / (count * (count - 1) // 2)) / math.log(n_bins)

@@ -79,15 +79,15 @@ class WaveletDecomposition:
 
     details: tuple[np.ndarray, ...]
     approx: np.ndarray
-    levels: int
     wavelet_id: str
     length: int
 
     def __post_init__(self) -> None:
-        details = tuple(np.asarray(d, dtype=np.float64) for d in self.details)
-        approx = np.asarray(self.approx, dtype=np.float64)
-        if self.levels < 1 or len(details) != self.levels:
-            raise ValueError("need one detail sequence per level, levels >= 1")
+        # views, frozen below without freezing the caller's arrays
+        details = tuple(np.asarray(d, dtype=np.float64).view() for d in self.details)
+        approx = np.asarray(self.approx, dtype=np.float64).view()
+        if not details:
+            raise ValueError("need at least one detail sequence")
         if approx.shape != details[-1].shape:
             raise ValueError("approx and deepest detail must have equal length")
         for shallow, deep in zip(details, details[1:]):
@@ -99,6 +99,10 @@ class WaveletDecomposition:
             arr.flags.writeable = False
         object.__setattr__(self, "details", details)
         object.__setattr__(self, "approx", approx)
+
+    @property
+    def levels(self) -> int:
+        return len(self.details)
 
     @property
     def band_names(self) -> tuple[str, ...]:
@@ -177,7 +181,6 @@ def dwt(signal, wavelet: str = "d4", levels: int = 5) -> WaveletDecomposition:
     return WaveletDecomposition(
         details=tuple(details),
         approx=a,
-        levels=levels,
         wavelet_id=wavelet.lower(),
         length=x.shape[-1],
     )

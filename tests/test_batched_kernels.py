@@ -45,6 +45,15 @@ _SAMPLE_KERNELS = {
     "zero_crossings": tf.zero_crossings,
     "local_extrema": tf.local_extrema,
 }
+_MIN_LENGTHS = {
+    "moments": 2,
+    "hjorth": 3,
+    "energy": 1,
+    "nonlinear_energy": 3,
+    "line_length": 2,
+    "zero_crossings": 2,
+    "local_extrema": 3,
+}
 _PSD_FEATURES = {
     "iwmf": iwmf,
     "iwbw": iwbw,
@@ -177,6 +186,14 @@ def test_one_dimensional_calls_still_return_scalars():
     assert all(isinstance(v, float) for v in tf.moments(x))
     with pytest.raises(ValueError, match="constant"):
         tf.hjorth(np.ones(10))
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLE_KERNELS))
+def test_batch_narrower_than_the_minimum_raises_the_length_error(name):
+    n = _MIN_LENGTHS[name]
+    for x in (np.zeros(n - 1), np.zeros((3, n - 1))):
+        with pytest.raises(ValueError, match=f"x needs at least {n} samples, got {n - 1}"):
+            _SAMPLE_KERNELS[name](x)
 
 
 @settings(max_examples=25, deadline=None)

@@ -261,7 +261,8 @@ def test_forward_search_guards():
 
 
 def test_trace_outputs():
-    trace = MeritTrace(features=("B", "A", "C"), merits=(0.4, 0.6, 0.5), best_size=2)
+    trace = MeritTrace(features=("B", "A", "C"), merits=(0.4, 0.6, 0.5))
+    assert trace.best_size == 2
     assert trace.best_subset == ("B", "A")
     assert trace.best_merit == 0.6
     lines = trace.to_csv().splitlines()
@@ -271,11 +272,17 @@ def test_trace_outputs():
     assert summary == {"best_size": 2, "best_merit": 0.6, "features": ["B", "A"]}
 
 
+def test_trace_best_size_is_first_maximum():
+    trace = MeritTrace(features=("A", "B", "C"), merits=(0.5, 0.9, 0.9))
+    assert trace.best_size == 2
+    assert trace.best_subset == ("A", "B")
+
+
 def test_trace_validation():
-    with pytest.raises(ValueError, match="best_size"):
-        MeritTrace(features=("A",), merits=(0.5,), best_size=2)
-    with pytest.raises(ValueError, match="maximum merit"):
-        MeritTrace(features=("A", "B"), merits=(0.5, 0.9), best_size=1)
+    with pytest.raises(ValueError, match="one merit per"):
+        MeritTrace(features=("A", "B"), merits=(0.5,))
+    with pytest.raises(ValueError, match="one merit per"):
+        MeritTrace(features=(), merits=())
 
 
 # perfbench's four column shapes, with effect sizes from none to strong

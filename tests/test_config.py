@@ -77,6 +77,28 @@ class TestJson:
     def test_null_features_means_full_catalog(self):
         assert RunConfig.from_json('{"features": null}').features is None
 
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ('{"features": "Energy"}', "features"),
+            ('{"montage": {"left": "F3", "right": "C4"}}', "left"),
+            ('{"montage": {"left": ["F3"], "right": "C4"}}', "right"),
+            ('{"kde_grid": 100.5}', "kde_grid"),
+            ('{"cfs_bins": 3.5}', "cfs_bins"),
+            ('{"cfs_max_size": 2.5}', "cfs_max_size"),
+            ('{"levels": "5"}', "levels"),
+            ('{"threads": true}', "threads"),
+        ],
+    )
+    def test_malformed_values_rejected(self, body, match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig.from_json(body)
+
+    def test_integral_counts_are_stored_as_int(self):
+        cfg = RunConfig.from_json('{"kde_grid": 1024.0, "levels": 3.0}')
+        assert (cfg.kde_grid, cfg.levels) == (1024, 3)
+        assert isinstance(cfg.kde_grid, int) and isinstance(cfg.levels, int)
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -90,7 +112,7 @@ class TestValidation:
             (dict(features=()), "at least one"),
             (dict(kde_grid=4), "grid"),
             (dict(cfs_bins=1), "bins"),
-            (dict(cfs_max_size=0), "max size"),
+            (dict(cfs_max_size=0), "cfs_max_size"),
             (dict(threshold=-1.0), "threshold"),
             (dict(threads=0), "threads"),
         ],

@@ -34,11 +34,6 @@ def _sine_epoch(freq_hz, n=1024, fs=256.0, amp=1.0, phase=0.0):
     return Epoch(samples=amp * np.sin(2 * np.pi * freq_hz * t + phase), fs=fs)
 
 
-def test_psd_total_power_is_derived():
-    psd = _psd([1.0, 2.0, 3.0])
-    assert psd.total_power == 6.0
-
-
 def test_psd_rejects_bad_inputs():
     with pytest.raises(ValueError):
         Psd(freqs=np.array([0.0, 1.0]), power=np.array([1.0, -0.5]))
@@ -81,7 +76,7 @@ def test_welch_white_noise_spreads_power():
 
 def test_welch_zeros_gives_zero_total_power():
     psd = psd_welch(Epoch(samples=np.zeros(512), fs=256.0))
-    assert psd.total_power == 0.0
+    assert psd.power.sum() == 0.0
     for feature in (iwmf, iwbw, spectral_entropy, peak_frequency):
         with pytest.raises(ValueError, match="zero total power"):
             feature(psd)

@@ -303,7 +303,6 @@ class TestMontageHandling:
         cfg = RunConfig(features=("Mean",), montage=_PAIR)
         with pytest.raises(ValueError, match=r"channel 'B': non-finite sample at 2\.34375 s"):
             extract(dataclasses.replace(record, data=data), cfg)
-        data = data.copy()  # the record made it read-only
         data[1, 600] = 0.0
         table = extract(dataclasses.replace(record, data=data), cfg)
         assert np.all(np.isfinite(table.values))

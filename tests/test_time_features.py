@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from eegfx.time_features import (
     approximate_entropy,
@@ -368,7 +369,34 @@ class TestFuzzyEntropy:
         )
 
 
+def _brute_disten(x, m, n_bins):
+    """DistEn with the histogram range read off every pair's distance."""
+    windows = sliding_window_view(x, m)[: x.size - m]
+    windows = windows - windows.mean(axis=1, keepdims=True)
+    i, j = np.triu_indices(len(windows), 1)
+    d = np.abs(windows[i] - windows[j]).max(axis=1)
+    if d.max() == 0.0:
+        return 0.0
+    counts = np.histogram(d, bins=n_bins, range=(0.0, d.max()))[0]
+    p = counts[counts > 0] / d.size
+    return float(-(p * np.log(p)).sum()) / math.log(n_bins)
+
+
 class TestDistributionEntropy:
+    @pytest.mark.parametrize("family", ["noise", "ties", "constant", "huge", "tiny"])
+    def test_equals_brute_force_maximum_distance(self, family):
+        rng = np.random.default_rng(23)
+        x = {
+            "noise": rng.standard_normal(300),
+            "ties": rng.integers(0, 3, 300).astype(np.float64),
+            "constant": np.full(300, 7.25),
+            "huge": 1e150 * rng.standard_normal(300),
+            "tiny": 1e-150 * np.round(rng.standard_normal(300), 1),
+        }[family]
+        for m in (1, 2, 3):
+            for n_bins in (2, 17, 256):
+                assert distribution_entropy(x, m, n_bins) == _brute_disten(x, m, n_bins)
+
     def test_constant_is_zero(self):
         assert distribution_entropy(np.full(30, -2.0), 2, 64) == 0.0
 

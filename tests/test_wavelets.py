@@ -123,7 +123,6 @@ def test_decomposition_validation():
         WaveletDecomposition(
             details=(np.ones(8), np.ones(7)),
             approx=np.ones(7),
-            levels=2,
             wavelet_id="d4",
             length=16,
         )
@@ -131,7 +130,6 @@ def test_decomposition_validation():
         WaveletDecomposition(
             details=(np.ones(8),),
             approx=np.ones(4),
-            levels=1,
             wavelet_id="d4",
             length=16,
         )
