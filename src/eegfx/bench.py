@@ -4,7 +4,7 @@ Each feature is timed over a ladder of signal lengths; the log-log
 slope of runtime against length estimates the complexity exponent
 (1 for linear scans, 2 for pairwise template matching).
 
-Measurement guards against four artifacts of timing small numpy calls:
+Measurement guards against five artifacts of timing small numpy calls:
 per-size batches of distinct signals keep every block streaming through
 memory instead of replaying one cache-hot array; each round times the
 floor and every size back to back in equally long blocks, and the slope
@@ -14,9 +14,15 @@ median over rounds, so a minority of rounds that a speed switch splits
 cannot move it; and each feature's per-call floor -- its time on a
 ``FLOOR_SIZE``-sample signal -- is subtracted before each round's fit,
 so the fixed cost of argument checks and numpy dispatch does not
-flatten the slope.  A cost that stays constant from the floor length
-upwards, such as thread hand-off inside one large call, is not in the
-floor and still shows.
+flatten the slope; and one large block is allocated and freed before
+any timing.  glibc serves a block above its mmap threshold (128 KiB at
+start-up) with a fresh mapping and trims the heap after each call, so
+until some larger block has been freed, every call whose temporaries
+cross the threshold faults them in again: a step between two lengths,
+not a cost per sample.  Freeing the large block lifts the threshold for
+the process, as the first large array of any real run does.  A cost
+that stays constant from the floor length upwards, such as thread
+hand-off inside one large call, is not in the floor and still shows.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ QUADRATIC_SIZES = (1024, 2048, 4096)
 FLOOR_SIZE = 16
 
 _TARGET_BLOCK_S = 3e-3
+_ALLOCATOR_BLOCK = 2**21  # float64 elements: 16 MiB, under glibc's 32 MiB cap
 _BATCH_BUDGET = 2_097_152  # elements of fresh signal per size
 
 
@@ -206,6 +213,7 @@ def run_bench(
     sizes = tuple(int(n) for n in sizes)
     if min(sizes, default=0) <= FLOOR_SIZE:
         raise ValueError(f"sizes must exceed the floor length {FLOOR_SIZE}, got {sizes}")
+    np.empty(_ALLOCATOR_BLOCK)  # freed at once: lifts the mmap threshold
     results = []
     for name, fn in suite.items():
         rng = np.random.default_rng(seed)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +21,8 @@ __all__ = ["RunConfig"]
 
 # Integer fields and their smallest allowed value.
 _COUNTS = {"levels": 1, "kde_grid": 16, "cfs_bins": 2, "cfs_max_size": 1, "threads": 1}
+# Real fields, and whether 0 is allowed.
+_REALS = {"width_s": False, "stride_s": False, "threshold": True}
 
 
 @dataclass(frozen=True)
@@ -43,10 +46,13 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if isinstance(self.features, str):
-            raise ValueError(f"features must be a list of names, got the string {self.features!r}")
         if self.features is not None:
+            if isinstance(self.features, str) or not isinstance(self.features, Iterable):
+                raise ValueError(f"features must be a list of names, got {self.features!r}")
             object.__setattr__(self, "features", tuple(self.features))
+            for name in self.features:
+                if not isinstance(name, str):
+                    raise ValueError(f"features must be a list of names, got {name!r} in it")
         for key, low in _COUNTS.items():
             value = getattr(self, key)
             if (
@@ -57,11 +63,15 @@ class RunConfig:
             ):
                 raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
             object.__setattr__(self, key, int(value))
-        if not self.width_s > 0:
-            raise ValueError(f"epoch width must be positive, got {self.width_s}")
-        if not self.stride_s > 0:
-            raise ValueError(f"stride must be positive, got {self.stride_s}")
-        if self.wavelet not in WAVELETS:
+        for key, zero_ok in _REALS.items():
+            value = getattr(self, key)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not (value >= 0 if zero_ok else value > 0)
+            ):
+                raise ValueError(f"{key} must be a number {'>=' if zero_ok else '>'} 0, got {value!r}")
+        if not isinstance(self.wavelet, str) or self.wavelet not in WAVELETS:
             raise ValueError(
                 f"unknown wavelet {self.wavelet!r}, have {sorted(WAVELETS)}"
             )
@@ -69,8 +79,6 @@ class RunConfig:
             raise ValueError("feature list must name at least one feature")
         if not isinstance(self.montage, Montage):
             raise ValueError("montage must be a Montage")
-        if not self.threshold >= 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from eegfx.feature_table import FeatureTable
 
@@ -42,6 +41,21 @@ _GRID_MARGIN_BANDWIDTHS = 4.0
 _BINS_PER_BANDWIDTH = 8  # binning lattice step <= h/8
 _KERNEL_BANDWIDTHS = 8.0  # kernel truncated at +-8h
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth length 2**a 3**b 5**c >= n, a fast real FFT."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            candidate = p35 << ((n - 1) // p35).bit_length()  # smallest p35 2**a >= n
+            if candidate < best:
+                best = candidate
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -129,11 +143,11 @@ class KdeModel:
         # circular convolution: n_fft >= size + half keeps the wrap-around
         # off the lattice, and no kernel offset beyond size - 1 reaches it
         half = min(math.ceil(reach / step), size - 1)
-        n_fft = sp_fft.next_fast_len(size + half, real=True)
+        n_fft = _fast_len(size + half)
         kernel = np.zeros(n_fft)
         kernel[: half + 1] = np.exp(-0.5 * (np.arange(half + 1) * (step / h)) ** 2)
         kernel[n_fft - half :] = kernel[half:0:-1]
-        smooth = sp_fft.irfft(sp_fft.rfft(weights, n_fft) * sp_fft.rfft(kernel), n_fft)
+        smooth = np.fft.irfft(np.fft.rfft(weights, n_fft) * np.fft.rfft(kernel), n_fft)
 
         out = np.zeros(n_points)
         j0, j1 = -(-first // r), last // r

@@ -1,10 +1,15 @@
 """Benchmark harness: slope math, suite plumbing, CSV output."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eegfx
 from eegfx.bench import (
     FLOOR_SIZE,
     BenchResult,
@@ -111,6 +116,24 @@ class TestRunBench:
             {"SampEn": QUADRATIC_SUITE["SampEn"]}, sizes=(512, 1024, 2048), repeats=2
         )
         assert 1.5 < results[0].slope < 2.5
+
+    def test_fresh_process_times_the_feature_not_the_allocator(self):
+        # NE's temporaries cross glibc's start-up mmap threshold between
+        # 16384 and 32768 samples; in a process that has freed no large
+        # block, that step alone read slopes near 1.9
+        code = (
+            "from eegfx.bench import LINEAR_SUITE, run_bench; "
+            "print(run_bench({'NE': LINEAR_SUITE['NE']})[0].slope)"
+        )
+        path = [str(Path(eegfx.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert 0.6 < float(proc.stdout) < 1.5
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegfx.evaluation import bayes_error, fit_kde
+from eegfx.evaluation import _fast_len, bayes_error, fit_kde
 from oracles import direct_bayes_error, direct_kde_density
 
 ORACLE_ATOL = 1e-4
@@ -195,3 +195,17 @@ def test_narrow_class_keeps_memory_and_time_bounded(fraction):
     # binning at step d <= h/8 moves each kernel's value by at most
     # d^2/8 max|K''| = (d/h)^2/8 K(0) <= K(0)/512
     assert np.max(np.abs(dens - want)) <= 1.0 / (512.0 * h * math.sqrt(2.0 * math.pi))
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    smooth = sorted(
+        2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6)
+    )
+    for n in range(1, 5001):
+        assert _fast_len(n) == next(m for m in smooth if m >= n), n
+
+
+def test_fft_length_matches_the_reference():
+    fft = pytest.importorskip("scipy.fft")
+    lengths = range(1, 100_001)
+    assert [_fast_len(n) for n in lengths] == [fft.next_fast_len(n, real=True) for n in lengths]

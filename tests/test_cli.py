@@ -267,12 +267,12 @@ def test_console_script_is_wired():
 
 
 def test_dependency_floors_cover_numpy2_calls():
-    """``np.vecdot`` and ``np.trapezoid`` exist from numpy 2.0 on."""
+    """numpy is the one runtime dependency; ``np.vecdot`` and
+    ``np.trapezoid`` exist from numpy 2.0 on."""
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
-    assert "numpy>=2.0" in dependencies
-    assert "scipy>=1.13" in dependencies
+    assert dependencies == ["numpy>=2.0"]
 
 
 @pytest.mark.skipif(shutil.which("eegfx") is None, reason="no eegfx executable on PATH")

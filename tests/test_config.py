@@ -47,6 +47,12 @@ class TestJson:
         with pytest.raises(ValueError, match=r"run\.json.*widht_s"):
             RunConfig.load(f)
 
+    def test_load_names_file_on_malformed_value(self, tmp_path):
+        f = tmp_path / "run.json"
+        f.write_text('{"width_s": "4"}')
+        with pytest.raises(ValueError, match=r"run\.json: width_s must be a number"):
+            RunConfig.load(f)
+
     def test_load_reads_file(self, tmp_path):
         f = tmp_path / "run.json"
         f.write_text('{"stride_s": 0.5}')
@@ -88,6 +94,13 @@ class TestJson:
             ('{"cfs_max_size": 2.5}', "cfs_max_size"),
             ('{"levels": "5"}', "levels"),
             ('{"threads": true}', "threads"),
+            ('{"width_s": "4"}', r"width_s must be a number > 0, got '4'"),
+            ('{"width_s": true}', r"width_s must be a number > 0, got True"),
+            ('{"stride_s": null}', r"stride_s must be a number > 0, got None"),
+            ('{"threshold": "5"}', r"threshold must be a number >= 0, got '5'"),
+            ('{"features": 5}', r"features must be a list of names, got 5"),
+            ('{"features": ["Energy", 3]}', r"features must be a list of names, got 3 in it"),
+            ('{"wavelet": ["d4"]}', r"unknown wavelet \['d4'\]"),
         ],
     )
     def test_malformed_values_rejected(self, body, match):

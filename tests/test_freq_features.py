@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from eegfx.freq_features import (
     Psd,
+    _local_maxima,
     iwbw,
     iwmf,
     median_frequency,
@@ -12,6 +14,7 @@ from eegfx.freq_features import (
     psd_welch,
     sef,
     spectral_entropy,
+    welch,
 )
 from eegfx.signals import Epoch
 
@@ -205,3 +208,45 @@ def test_peak_frequency_monotone_psd_falls_back_to_global_max():
     peak_hz, width = peak_frequency(_psd(power))
     assert peak_hz == 0.0
     assert width >= 0.0
+
+
+@pytest.mark.parametrize("segment", [4, 5, 17, 128, 256, 257])
+@pytest.mark.parametrize("fs", [100.0, 173.61, 256.0, 500.0, 1000.0])
+def test_welch_matches_the_reference_bit_for_bit(segment, fs):
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(segment)
+    for width in (segment, segment + 1, 2 * segment + 3, 1000, 4096):
+        for scale in (1e-3, 1.0, 1e6):
+            rows = scale * (rng.standard_normal((3, width)) + rng.uniform(-1.0, 1.0))
+            # one signal, a contiguous batch, and a strided epoch matrix as
+            # extract cuts it from a channel
+            epochs = sliding_window_view(np.concatenate(rows), width)[:: width // 3 + 1]
+            for x in (rows[0], rows, epochs):
+                freqs, power = signal.welch(
+                    x, fs=fs, window="hamming", nperseg=segment, noverlap=segment // 2
+                )
+                psd = welch(x, fs, segment)
+                assert np.array_equal(psd.freqs, freqs), (width, scale, x.shape)
+                assert np.array_equal(psd.power, power), (width, scale, x.shape)
+
+
+def test_local_maxima_take_the_middle_of_a_plateau():
+    rows = np.array([
+        [0, 1, 0, 2, 2, 0, 3, 3, 3, 0],
+        [1, 1, 0, 2, 2, 2, 2, 1, 1, 1],
+        [0, 1, 2, 3, 4, 5, 5, 5, 5, 5],
+    ], dtype=float)
+    assert [m.tolist() for m in _local_maxima(rows)] == [[1, 3, 7], [4], []]
+
+
+def test_local_maxima_match_the_reference():
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(0)
+    checked = 0
+    for n in range(1, 200):
+        # small integers give plateaus and ties between neighbouring rows
+        for power in (rng.integers(0, 4, (6, n)).astype(float), rng.standard_normal((6, n))):
+            for row, maxima in zip(power, _local_maxima(power)):
+                assert np.array_equal(maxima, signal.find_peaks(row)[0]), row
+                checked += 1
+    assert checked == 2388

@@ -1,14 +1,20 @@
-"""Package-wide contracts: the top-level API and the immutable containers.
+"""Package-wide contracts: the top-level API, the immutable containers
+and the runtime dependencies.
 
 The top level publishes exactly the names each module lists in its
 ``__all__`` (``cli`` excepted), so a public name is declared in one
 place.  Every container freezes the arrays it holds without freezing
-the arrays its caller passed in.
+the arrays its caller passed in.  Importing the package, CLI included,
+loads numpy and the standard library only.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +53,22 @@ def test_top_level_names_nothing_of_its_own():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert own <= published
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, eegfx, eegfx.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules if m.startswith('scipy')}))"
+    )
+    path = [str(Path(eegfx.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 _CONTAINERS = {

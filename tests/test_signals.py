@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from eegfx.signals import (
     DEFAULT_MONTAGE,
@@ -13,6 +14,7 @@ from eegfx.signals import (
     Record,
     label_epoch,
     segment,
+    window_counts,
 )
 
 
@@ -104,6 +106,29 @@ class TestSegment:
         assert e.channel_id == "B"
         assert e.fs == 256.0
         assert e.start_time == 2.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fs=st.sampled_from([100.0, 173.61, 256.0]),
+        width=st.integers(2, 64),
+        stride=st.integers(1, 80),
+        extra=st.integers(0, 200),
+    )
+    def test_epochs_are_the_rows_extract_cuts(self, fs, width, stride, extra):
+        # extract cuts each channel as sliding_window_view(channel, width)[::stride]
+        # and dates row k at k * stride / fs
+        rec = make_record(width + extra, fs=fs)
+        width_s, stride_s = width / fs, stride / fs
+        epochs = segment(rec, width_s, stride_s)
+        width_n, stride_n, count = window_counts(rec.n_samples, fs, width_s, stride_s)
+        assert (width_n, stride_n) == (width, stride)
+        for channel, samples in zip(rec.channels, rec.data):
+            rows = sliding_window_view(samples, width)[::stride]
+            assert len(epochs[channel]) == count == len(rows)
+            for k, (epoch, row) in enumerate(zip(epochs[channel], rows)):
+                assert np.array_equal(epoch.samples, row)
+                assert epoch.start_time == k * stride / fs
+                assert (epoch.channel_id, epoch.fs) == (channel, fs)
 
 
 class TestLabelEpoch:
