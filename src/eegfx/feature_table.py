@@ -12,6 +12,7 @@ parses all numeric columns in one ``np.loadtxt`` call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -81,7 +82,13 @@ class FeatureTable:
     def class_values(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Feature column split as (seizure values, normal values)."""
         col = self.column(name)
-        return col[self.labels == 1], col[self.labels == 0]
+        seizure, normal = self._class_masks
+        return col[seizure], col[normal]
+
+    @cached_property
+    def _class_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(seizure rows, normal rows) as masks, built once per table."""
+        return self.labels == 1, self.labels == 0
 
     def to_csv(self) -> str:
         return "".join(self._csv_blocks())

@@ -4,6 +4,12 @@ Every feature consumes a :class:`Psd` and treats the normalized power
 vector (power divided by total power) as a probability mass over the
 frequency grid.  A batch :class:`Psd` (:func:`welch` of a matrix) gets
 one value per row, as the 1-D call computes it, NaN where that raises.
+
+The dominant-peak search runs once down the whole batch, a 1-D call as a
+batch of one row.  It takes every row's candidate peaks as one flat
+list: one half-maximum walk over all of them, in blocks of bounded size,
+then one mean per FWHM band, gathered by band length so that each band
+sums in the order a 1-D ``.mean()`` does.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ __all__ = [
 ]
 
 _WELCH_SEGMENT = 256
+
+# Cells (peaks x bins) per block of the peak search, so that its temporaries
+# stay near a MiB each for any batch size.
+_WALK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -141,40 +151,99 @@ def spectral_entropy(psd: Psd) -> float:
     return -np.vecdot(p, log_p)
 
 
-def _local_maxima(power: np.ndarray) -> list[np.ndarray]:
-    """Each row's local maxima: a rise followed by a fall in the same row,
-    at the middle of a plateau, rounded down."""
+def _local_maxima(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, bin) of every local maximum of a PSD matrix, row by row in bin
+    order: a rise followed by a fall in the same row, at the middle of a
+    plateau, rounded down."""
     steps = np.diff(power)
     rows, cols = np.nonzero(steps)  # each row's rises and falls, in order
     rise = steps[rows, cols] > 0
     top = rise[:-1] & ~rise[1:] & (rows[:-1] == rows[1:])
-    peaks = (cols[:-1][top] + 1 + cols[1:][top]) // 2
-    return np.split(peaks, np.searchsorted(rows[:-1][top], np.arange(1, len(power))))
+    return rows[:-1][top], (cols[:-1][top] + 1 + cols[1:][top]) // 2
 
 
-def _dominant_peak(freqs: np.ndarray, power: np.ndarray, peaks: np.ndarray) -> tuple[float, float]:
-    if peaks.size == 0:
-        peaks = np.array([int(np.argmax(power))])
-    # walk outward to the half-maximum crossings, all peaks at once: the
-    # walk stops at the nearest bin below half power; clip at the edges
-    n = power.size
-    half = power[peaks] / 2.0
-    below = power < half[:, None]
-    bins = np.arange(n)
-    i = np.where(below & (bins < peaks[:, None]), bins, -1).max(axis=1) + 1
-    j = np.where(below & (bins > peaks[:, None]), bins, n).min(axis=1) - 1
+def _candidates(power: np.ndarray, defined: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, bin) of every candidate peak of the defined rows, row by row in
+    bin order: the local maxima, or the global maximum of a monotone row."""
+    rows, peaks = _local_maxima(power)  # none in a zero or a NaN row
+    flat = np.flatnonzero(defined & (np.bincount(rows, minlength=len(power)) == 0))
+    rows = np.concatenate([rows, flat])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], np.concatenate([peaks, power[flat].argmax(axis=1)])[order]
+
+
+def _half_power_walk(power: np.ndarray, rows: np.ndarray, peaks: np.ndarray):
+    """Each peak's half power and its walk's stops (i, j): the bins next to
+    the nearest bins below half power on either side, or the row's edges.
+    Runs in blocks of about ``_WALK_CELLS`` (peak, bin) cells."""
+    n = power.shape[1]
+    half = power[rows, peaks] / 2.0
+    i, j = np.empty_like(peaks), np.empty_like(peaks)
+    step = max(1, _WALK_CELLS // n)
+    for s in range(0, peaks.size, step):
+        below = power[rows[s : s + step]] < half[s : s + step, None]
+        before = below & (np.arange(n) < peaks[s : s + step, None])
+        below ^= before  # the peak's own bin is never below: the bins after it
+        # argmax 0 is "none": bin n - 1 is never before a peak, bin 0 never after
+        last = before[:, ::-1].argmax(axis=1)
+        first = below.argmax(axis=1)
+        i[s : s + step] = np.where(last == 0, 0, n - last)
+        j[s : s + step] = np.where(first == 0, n, first) - 1
+    return half, i, j
+
+
+def _band_means(power: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """power[row, lo:hi].mean() of each band, NaN for an empty one.  Bands of
+    one length L are gathered into contiguous (count, L) blocks and summed
+    along their rows, which adds each band in the order a 1-D ``.mean()``
+    does; ``np.add.reduceat`` adds in another order."""
+    flat = power.ravel()
+    length = hi - lo
+    order = np.argsort(length, kind="stable")
+    starts = (rows * power.shape[1] + lo)[order]
+    sums = np.full(order.size, math.nan)  # an empty band's mean is NaN
+    sizes, firsts = np.unique(length[order], return_index=True)
+    ends = [*firsts[1:].tolist(), order.size]
+    for size, first, end in zip(sizes.tolist(), firsts.tolist(), ends):
+        if size <= 0:
+            continue
+        chunk = max(1, _WALK_CELLS // size)
+        for s in range(first, end, chunk):
+            e = min(s + chunk, end)
+            sums[s:e] = flat[starts[s:e, None] + np.arange(size)].sum(axis=1)
+    means = np.empty_like(sums)
+    means[order] = sums / length[order]
+    return means
+
+
+def _dominant_peaks(freqs: np.ndarray, power: np.ndarray, defined: np.ndarray):
+    """(peak_hz, bandwidth_hz) of each row of a PSD matrix, NaN where not defined."""
+    peak_hz = np.full(len(power), math.nan)
+    bandwidth = np.full(len(power), math.nan)
+    rows, peaks = _candidates(power, defined)
+    if rows.size == 0:
+        return peak_hz, bandwidth
+    half, i, j = _half_power_walk(power, rows, peaks)
+    # interpolate to the half-maximum crossings; clip at the edges
+    n = power.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac = (half - power[i - 1]) / (power[i] - power[i - 1])
+        frac = (half - power[rows, i - 1]) / (power[rows, i] - power[rows, i - 1])
         left = np.where(i == 0, freqs[0], freqs[i - 1] + frac * (freqs[i] - freqs[i - 1]))
         k = np.minimum(j + 1, n - 1)
-        frac = (power[j] - half) / (power[j] - power[k])
+        frac = (power[rows, j] - half) / (power[rows, j] - power[rows, k])
         right = np.where(j == n - 1, freqs[-1], freqs[j] + frac * (freqs[k] - freqs[j]))
     # each peak's band is the contiguous run of bins inside its FWHM
     lo = np.searchsorted(freqs, left, side="left")
     hi = np.searchsorted(freqs, right, side="right")
-    scores = [power[a:b].mean() for a, b in zip(lo, hi)]
-    best = int(np.argmax(scores))
-    return float(freqs[peaks[best]]), float(right[best] - left[best])
+    scores = _band_means(power, rows, lo, hi)
+    # each row's first best score; a NaN score wins, as np.argmax picks it
+    firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+    best = np.repeat(np.maximum.reduceat(scores, firsts), np.diff(firsts, append=rows.size))
+    hits = np.flatnonzero((scores == best) | np.isnan(scores))
+    winners = hits[np.diff(rows[hits], prepend=-1) != 0]
+    peak_hz[rows[winners]] = freqs[peaks[winners]]
+    bandwidth[rows[winners]] = right[winners] - left[winners]
+    return peak_hz, bandwidth
 
 
 def peak_frequency(psd: Psd) -> tuple[float, float]:
@@ -185,10 +254,8 @@ def peak_frequency(psd: Psd) -> tuple[float, float]:
     average power over its own FWHM band; the best-scoring peak wins.
     Returns ``(peak_hz, bandwidth_hz)``, arrays for a batch.
     """
-    defined = ~np.isnan(_normalized(psd)[..., :1])  # rejects a zero-power spectrum
-    power = np.atleast_2d(psd.power)
-    peaks = [
-        _dominant_peak(psd.freqs, row, maxima) if ok else (math.nan, math.nan)
-        for row, maxima, ok in zip(power, _local_maxima(power), np.atleast_2d(defined)[:, 0])
-    ]
-    return peaks[0] if psd.power.ndim == 1 else tuple(np.array(peaks).T)
+    defined = ~np.isnan(_normalized(psd)[..., 0])  # rejects a zero-power spectrum
+    peak_hz, bandwidth = _dominant_peaks(psd.freqs, np.atleast_2d(psd.power), np.atleast_1d(defined))
+    if psd.power.ndim == 1:
+        return float(peak_hz[0]), float(bandwidth[0])
+    return peak_hz, bandwidth

@@ -10,8 +10,10 @@ Each channel is cut into one zero-copy (n_epochs, width) matrix of its
 epochs.  One registry maps each base feature name to a ``(source,
 reader)`` pair.  A source is computed down the whole matrix, at most
 once per channel and only when a requested feature reads it: the
-matrix, its moments, Hjorth parameters, Welch PSD, dominant peaks or
-DWT band table, or per-row ``stat_summary`` or ApEn/SampEn counts.  A
+matrix, its moments, ``stat_summary``, Hjorth parameters, Welch PSD,
+dominant peaks or DWT band table.  Only the ApEn/SampEn counts and the
+entropy and fractal features outside the default catalog (PE, WPE,
+FuzzyEn, DistEn, SVDEn, HFD, BCFD, HE, DFA) still run row by row.  A
 reader turns a source into a column, each row equal to the 1-D public
 function on that epoch.  ``FEATURE_CATALOG`` is the registry's key set.
 
@@ -20,10 +22,11 @@ function raises ``ValueError`` (constant signal, zero-power spectrum,
 no template match at m+1).  A non-finite sample in a montage channel,
 or an epoch shorter than the Welch segment or the DWT depth, aborts the
 run before any feature is computed.  An epoch narrower than a batched
-kernel's minimum (2 samples for the moments, line length and zero
-crossings, 3 for Hjorth, NE and local extrema) aborts it with that
-kernel's 1-D length error, "x needs at least n samples".  A side mean is NaN wherever one of
-its channels is not finite; downstream evaluation skips such columns.
+kernel's minimum (2 samples for the moments, ``stat_summary``, line
+length and zero crossings, 3 for Hjorth, NE and local extrema) aborts it
+with that kernel's 1-D length error, "x needs at least n samples".  A
+side mean is NaN wherever one of its channels is not finite; downstream
+evaluation skips such columns.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ _BATCH_SOURCES: dict[str, Callable[[dict], Any]] = {
     "psd": lambda s: welch(s["samples"], s["fs"]),
     "bands": lambda s: subband_features(dwt(s["samples"], s["config"].wavelet, s["config"].levels)),
     "moments": lambda s: tf.moments(s["samples"]),
-    "summary": lambda s: _each(tf.stat_summary, s["samples"]),
+    "summary": lambda s: tf.stat_summary(s["samples"]),
     "hjorth": lambda s: tf.hjorth(s["samples"]),
     "template": lambda s: _each(tf.template_entropies, s["samples"]),
     "peak": lambda s: _peak(s["psd"]),
@@ -119,7 +122,7 @@ _REGISTRY: dict[str, tuple[str, Callable[[Any], np.ndarray]]] = {
     "Max": ("samples", partial(np.max, axis=-1)),
     "Min": ("samples", partial(np.min, axis=-1)),
     **{
-        name: ("summary", _column(attrgetter(name.lower())))
+        name: ("summary", attrgetter(name.lower()))
         for name in ("Median", "Mode", "Q1", "Q3", "IQR")
     },
     "Energy": ("samples", tf.energy),
@@ -127,12 +130,14 @@ _REGISTRY: dict[str, tuple[str, Callable[[Any], np.ndarray]]] = {
     "LineLength": ("samples", tf.line_length),
     "LocalExtrema": ("samples", tf.local_extrema),
     "ZeroCrossing": ("samples", tf.zero_crossings),
+    "ShEn": ("samples", tf.shannon_entropy),
+    "RMS": ("samples", tf.rms),
+    "AveragePower": ("samples", tf.average_power),
     **{
         name: ("samples", _column(fn=fn))
         for name, fn in (
-            ("ShEn", tf.shannon_entropy), ("RMS", tf.rms),
-            ("AveragePower", tf.average_power), ("PE", tf.permutation_entropy),
-            ("WPE", tf.weighted_permutation_entropy), ("FuzzyEn", tf.fuzzy_entropy),
+            ("PE", tf.permutation_entropy), ("WPE", tf.weighted_permutation_entropy),
+            ("FuzzyEn", tf.fuzzy_entropy),
             ("DistEn", tf.distribution_entropy), ("SVDEn", tf.svd_entropy),
             ("HFD", tf.higuchi_fd), ("BCFD", tf.box_counting_fd),
             ("HE", tf.hurst_exponent), ("DFA", tf.dfa),

@@ -2,7 +2,8 @@
 
 Everything here is a pure function of a 1-D array, so the same operations
 apply unchanged to raw samples and to wavelet sub-band coefficients (and,
-for the moments, Hjorth and shape functions, to each row of a matrix). Entropy
+for the moments, ``stat_summary``, Hjorth, shape functions, RMS, average
+power and Shannon entropy, to each row of a matrix). Entropy
 conventions: natural log throughout, 0*ln(0) := 0, Chebyshev distance for
 template matching, and match tolerance is inclusive (distance <= r counts).
 
@@ -80,21 +81,22 @@ def _as_signal(x, min_len: int, name: str = "x") -> np.ndarray:
 
 
 def _batched(min_len: int, undefined: str | None = None):
-    """Take a 1-D signal (scalars out) or an (n_rows, n) matrix (a value per row).
+    """Take a 1-D signal (scalars out) or an (n_rows, n) matrix (a value per row);
+    further arguments pass to the kernel.
     The kernel works along the last axis only, so a batch row equals the 1-D
     call bit for bit.  It marks an undefined row NaN, where a 1-D call raises.
     A matrix narrower than ``min_len`` raises the 1-D call's length error."""
     def wrap(kernel):
         @functools.wraps(kernel)
-        def call(x):
+        def call(x, *args, **kwargs):
             a = np.asarray(x, dtype=np.float64)
             if a.ndim == 2:
                 if a.shape[1] < min_len:
                     raise ValueError(f"x needs at least {min_len} samples, got {a.shape[1]}")
-                return kernel(a)
-            out = kernel(_as_signal(a, min_len))
+                return kernel(a, *args, **kwargs)
+            out = kernel(_as_signal(a, min_len), *args, **kwargs)
             row = tuple(v.item() for v in out) if isinstance(out, tuple) else out.item()
-            if undefined and any(map(math.isnan, row)):
+            if undefined and any(map(math.isnan, row if isinstance(row, tuple) else (row,))):
                 raise ValueError(undefined)
             return row
         return call
@@ -139,36 +141,67 @@ def moments(a: np.ndarray) -> tuple[float, float, float, float, float]:
     return mean, var, cv, skew, kurt
 
 
+def _amplitude_histogram(
+    a: np.ndarray, lo: np.ndarray, hi: np.ndarray, n_bins: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's counts and edges as ``np.histogram(row, n_bins, range=(lo,
+    hi))`` makes them, bit for bit, for the row's min lo and max hi; and the
+    rows it makes them for.  It raises on the others, a constant row among
+    them: a range not finite or too narrow for n_bins + 1 increasing edges.
+
+    Its rule, row by row: the edges are ``np.linspace``'s; the bin index is
+    ``(x - lo) / (hi - lo) * n_bins``, the last edge's value clamped into the
+    last bin, then moved one bin down or up where the edges say so, but not
+    past the last bin.  Here an index is flat over the (row, edge) table, so
+    one bincount counts every row; a count past the last bin is folded back.
+    """
+    span = hi - lo
+    with np.errstate(invalid="ignore", over="ignore"):
+        edges = np.arange(n_bins + 1.0) * (span / n_bins)[:, None] + lo[:, None]
+        edges[:, -1] = hi
+        ok = np.isfinite(lo) & np.isfinite(hi) & ~(edges[:, :-1] >= edges[:, 1:]).any(axis=1)
+    counts = np.zeros((len(a), n_bins + 1), dtype=np.intp)
+    if ok.any():
+        x, table = (a, edges) if ok.all() else (a[ok], edges[ok])
+        index = x - lo[ok, None]
+        index /= span[ok, None]
+        index *= n_bins
+        index = index.astype(np.intp)
+        np.minimum(index, n_bins - 1, out=index)
+        index += np.arange(len(x))[:, None] * (n_bins + 1)
+        table = table.ravel()
+        index -= x < np.take(table, index)
+        index += x >= np.take(table[1:], index)
+        counts[ok] = np.bincount(index.ravel(), minlength=len(x) * (n_bins + 1)).reshape(-1, n_bins + 1)
+    counts[:, -2] += counts[:, -1]
+    return counts[:, :-1], edges, ok
+
+
+@_batched(2)
+def _summary(a: np.ndarray) -> tuple:
+    a = a.reshape(-1, a.shape[-1])
+    lo, hi = a.min(axis=-1), a.max(axis=-1)
+    counts, edges, ok = _amplitude_histogram(a, lo, hi, 64)
+    rows, top = np.arange(len(a)), counts.argmax(axis=-1)
+    center = 0.5 * (edges[rows, top] + edges[rows, top + 1])
+    mode = np.where(lo == hi, lo, np.where(ok, center, math.nan))
+    q1, median, q3 = np.percentile(a, [25, 50, 75], axis=-1)
+    values = (*moments(a), lo, hi, median, mode, q1, q3, q3 - q1)
+    return tuple(np.where(np.isnan(mode), math.nan, v) for v in values)
+
+
 def stat_summary(x) -> StatSummary:
-    """Moment and order statistics of a sequence.
+    """Moment and order statistics of a sequence, or of each row of a matrix.
 
     The moments are those of :func:`moments`. Quartiles use linear
     interpolation; mode is the center of the fullest of 64 equal-width bins.
+    Raises where the range is not finite or too narrow for the bins; a
+    matrix gets arrays, NaN in every field of such a row.
     """
-    a = _as_signal(x, 2)
-    mean, var, cv, skew, kurt = moments(a)
-    lo, hi = float(a.min()), float(a.max())
-    if hi == lo:
-        mode = lo
-    else:
-        counts, edges = np.histogram(a, bins=64, range=(lo, hi))
-        top = int(np.argmax(counts))
-        mode = float(0.5 * (edges[top] + edges[top + 1]))
-    q1, med, q3 = (float(v) for v in np.percentile(a, [25, 50, 75]))
-    return StatSummary(
-        mean=mean,
-        variance=var,
-        cv=cv,
-        skewness=skew,
-        kurtosis=kurt,
-        min=lo,
-        max=hi,
-        median=med,
-        mode=mode,
-        q1=q1,
-        q3=q3,
-        iqr=q3 - q1,
-    )
+    summary = StatSummary(*_summary(x))
+    if isinstance(summary.mode, float) and math.isnan(summary.mode):
+        raise ValueError("amplitude range not finite or too narrow for 64 bins")
+    return summary
 
 
 @_batched(1)
@@ -182,15 +215,16 @@ def energy(a: np.ndarray) -> float:
     return np.einsum("...i,...i->...", a, a)
 
 
-def average_power(x) -> float:
+@_batched(1)
+def average_power(a: np.ndarray) -> float:
     """Energy per sample."""
-    a = _as_signal(x, 1)
-    return energy(a) / a.size
+    return energy.__wrapped__(a) / a.shape[-1]
 
 
-def rms(x) -> float:
+@_batched(1)
+def rms(a: np.ndarray) -> float:
     """Root mean square amplitude."""
-    return math.sqrt(average_power(x))
+    return np.sqrt(average_power.__wrapped__(a))
 
 
 @_batched(2)
@@ -220,16 +254,28 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def shannon_entropy(x, n_bins: int = 64) -> float:
-    """Entropy of the amplitude histogram over equal-width bins on [min, max]."""
-    a = _as_signal(x, 1)
+@_batched(1, undefined="amplitude range not finite or too narrow for n_bins bins")
+def shannon_entropy(a: np.ndarray, n_bins: int = 64) -> float:
+    """Entropy of the amplitude histogram over equal-width bins on [min, max],
+    0 for a constant signal.  Each row's value is that of its nonzero bins'
+    probabilities p, summed as ``-(p * ln p).sum()`` in bin order."""
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    lo, hi = float(a.min()), float(a.max())
-    if lo == hi:
-        return 0.0
-    counts, _ = np.histogram(a, bins=n_bins, range=(lo, hi))
-    return _entropy(counts / a.size)
+    a = a.reshape(-1, a.shape[-1])
+    lo, hi = a.min(axis=-1), a.max(axis=-1)
+    counts, _, ok = _amplitude_histogram(a, lo, hi, n_bins)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / a.shape[-1]
+        terms = p * np.log(p)  # NaN in an empty bin, never read
+    nonzero = counts > 0
+    filled = nonzero.sum(axis=1)
+    h = np.where(lo == hi, 0.0, math.nan)
+    # rows with the same number of nonzero bins gather into one contiguous
+    # block, so each row sums its terms in bin order, as a 1-D sum would
+    for size in np.unique(filled[ok]).tolist():
+        rows = np.flatnonzero(ok & (filled == size))
+        h[rows] = -terms[rows][nonzero[rows]].reshape(rows.size, size).sum(axis=1)
+    return h
 
 
 def _template_args(x, m: int, r: float | None) -> tuple[np.ndarray, float]:
@@ -407,10 +453,16 @@ def _pair_distances(windows: np.ndarray):
     for lo in range(0, count - 1, _BLOCK_ROWS):
         blk, rest = windows[lo : lo + _BLOCK_ROWS], windows[lo + 1 :]
         d = np.abs(blk[:, None, 0] - rest[None, :, 0])
+        step = np.empty_like(d)  # one scratch block for every coordinate
         for k in range(1, length):
-            np.maximum(d, np.abs(blk[:, None, k] - rest[None, :, k]), out=d)
-        # row p is window lo + p and column q window lo + 1 + q: keep q >= p
-        yield d[np.arange(len(blk))[:, None] <= np.arange(len(rest))]
+            np.subtract(blk[:, None, k], rest[None, :, k], out=step)
+            np.maximum(d, np.abs(step, out=step), out=d)
+        del step
+        # row p is window lo + p and column q window lo + 1 + q: keep q >= p,
+        # a tail of each row, so the rows' tails in order need no mask
+        kept = np.concatenate([row[p:] for p, row in enumerate(d)])
+        del d
+        yield kept
 
 
 def fuzzy_entropy(x, m: int = 2, r: float | None = None) -> float:

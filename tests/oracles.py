@@ -8,6 +8,9 @@ O(grid x N) direct sum, blocked over samples with numpy so it finishes at
 the paper's epoch counts; it shares no code with the library's binned KDE.
 The CFS reference is the pair-by-pair greedy search: one bincount per
 pair, p @ log p entropies, and every candidate's merit summed afresh.
+The dominant-peak and histogram references work one row at a time, with
+a plain loop for the local maxima, one ``.mean()`` per FWHM band and
+``np.histogram`` per row; the batched kernels must equal them bit for bit.
 """
 
 import math
@@ -139,6 +142,77 @@ def naive_wpe(x, m):
         if p > 0.0:
             h -= p * math.log(p)
     return h
+
+
+def row_local_maxima(power):
+    """Bins where a rise is followed by a fall, at the middle of a plateau,
+    rounded down."""
+    peaks, n, i = [], len(power), 1
+    while i < n:
+        if power[i - 1] < power[i]:
+            j = i
+            while j + 1 < n and power[j + 1] == power[i]:
+                j += 1
+            if j + 1 < n and power[j + 1] < power[i]:
+                peaks.append((i + j) // 2)
+            i = j + 1
+        else:
+            i += 1
+    return np.array(peaks, dtype=np.intp)
+
+
+def dominant_peak(freqs, power):
+    """(peak_hz, bandwidth_hz) of one spectrum, NaN for zero or NaN power.
+
+    Each candidate (the local maxima, else the global maximum) walks out to
+    its half-maximum crossings; the first candidate with the largest mean
+    power over the bins inside its FWHM wins.
+    """
+    if not power.sum() > 0:
+        return math.nan, math.nan
+    peaks = row_local_maxima(power)
+    if peaks.size == 0:
+        peaks = np.array([int(np.argmax(power))])
+    n = power.size
+    half = power[peaks] / 2.0
+    below = power < half[:, None]
+    bins = np.arange(n)
+    i = np.where(below & (bins < peaks[:, None]), bins, -1).max(axis=1) + 1
+    j = np.where(below & (bins > peaks[:, None]), bins, n).min(axis=1) - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (half - power[i - 1]) / (power[i] - power[i - 1])
+        left = np.where(i == 0, freqs[0], freqs[i - 1] + frac * (freqs[i] - freqs[i - 1]))
+        k = np.minimum(j + 1, n - 1)
+        frac = (power[j] - half) / (power[j] - power[k])
+        right = np.where(j == n - 1, freqs[-1], freqs[j] + frac * (freqs[k] - freqs[j]))
+    lo = np.searchsorted(freqs, left, side="left")
+    hi = np.searchsorted(freqs, right, side="right")
+    scores = [power[a:b].mean() for a, b in zip(lo, hi)]
+    best = int(np.argmax(scores))
+    return float(freqs[peaks[best]]), float(right[best] - left[best])
+
+
+def histogram_shannon_entropy(x, n_bins):
+    """ShEn of one signal from np.histogram over [min, max]; 0 when constant.
+    Raises ValueError where np.histogram does."""
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if lo == hi:
+        return 0.0
+    counts, _ = np.histogram(x, bins=n_bins, range=(lo, hi))
+    p = counts / len(x)
+    p = p[p > 0]
+    return float(-(p * np.log(p)).sum())
+
+
+def histogram_mode(x, n_bins=64):
+    """Center of the first fullest of n_bins np.histogram bins on [min, max];
+    the value itself when constant."""
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if lo == hi:
+        return lo
+    counts, edges = np.histogram(x, bins=n_bins, range=(lo, hi))
+    top = int(np.argmax(counts))
+    return float(0.5 * (edges[top] + edges[top + 1]))
 
 
 def direct_kde_density(samples, h, points, block=1024):

@@ -44,6 +44,9 @@ _SAMPLE_KERNELS = {
     "line_length": tf.line_length,
     "zero_crossings": tf.zero_crossings,
     "local_extrema": tf.local_extrema,
+    "rms": tf.rms,
+    "average_power": tf.average_power,
+    "shannon_entropy": tf.shannon_entropy,
 }
 _MIN_LENGTHS = {
     "moments": 2,
@@ -53,6 +56,9 @@ _MIN_LENGTHS = {
     "line_length": 2,
     "zero_crossings": 2,
     "local_extrema": 3,
+    "rms": 1,
+    "average_power": 1,
+    "shannon_entropy": 1,
 }
 _PSD_FEATURES = {
     "iwmf": iwmf,
@@ -117,6 +123,14 @@ def _check_sample_kernels(rows: np.ndarray) -> None:
         _assert_rows_equal(got, want, name)
 
 
+def _check_stat_summary(rows: np.ndarray) -> None:
+    with np.errstate(all="ignore"):
+        batch = tf.stat_summary(rows)
+        for field in tf.StatSummary.__dataclass_fields__:
+            want = _expected(lambda row: getattr(tf.stat_summary(row), field), rows)
+            _assert_rows_equal(getattr(batch, field), want[0], f"stat_summary.{field}")
+
+
 def _check_spectral(rows: np.ndarray, segment: int) -> None:
     with np.errstate(all="ignore"):
         batch = welch(rows, FS, segment)
@@ -158,6 +172,9 @@ def _check_wavelets(rows: np.ndarray) -> None:
 class TestRowsEqualOneDimensionalCalls:
     def test_moments_hjorth_and_shape(self, width, stride, segment):
         _check_sample_kernels(_rows(_channel(width), width, stride))
+
+    def test_stat_summary(self, width, stride, segment):
+        _check_stat_summary(_rows(_channel(width), width, stride))
 
     def test_welch_and_spectral_features(self, width, stride, segment):
         _check_spectral(_rows(_channel(width), width, stride), segment)
@@ -207,5 +224,6 @@ def test_flat_stretches_anywhere_keep_rows_identical(start, length, level):
     x[start : start + length] = level
     rows = _rows(x, 256, 64)
     _check_sample_kernels(rows)
+    _check_stat_summary(rows)
     _check_spectral(rows, 128)
     _check_wavelets(rows)

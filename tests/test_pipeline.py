@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from eegfx import pipeline
 from eegfx import time_features as tf
 from eegfx.config import RunConfig
 from eegfx.feature_table import FeatureTable
@@ -338,3 +339,20 @@ class TestDeterminism:
         loaded = FeatureTable.read_csv(path)
         assert loaded.feature_names == table.feature_names
         assert np.array_equal(loaded.labels, table.labels)
+
+
+class TestExecutionStyle:
+    def test_only_the_template_counter_runs_row_by_row(self, monkeypatch):
+        # Every default source but ApEn/SampEn runs down the epoch matrix;
+        # _each, the per-row loop, sees the template counter and nothing else.
+        seen = []
+        each = pipeline._each
+
+        def spy(fn, rows):
+            seen.append(fn)
+            return each(fn, rows)
+
+        monkeypatch.setattr(pipeline, "_each", spy)
+        table = extract(_record(seconds=8), RunConfig(montage=_PAIR))
+        assert len(table.feature_names) == 2 * len(DEFAULT_FEATURES)
+        assert seen and set(seen) == {tf.template_entropies}
