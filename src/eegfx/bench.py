@@ -61,8 +61,9 @@ QUADRATIC_SUITE: Mapping[str, Callable[[np.ndarray], float]] = {
 
 # Linear features need lengths where per-call work is well above the
 # subtracted per-call floor (about 5-10 us against 20-200 us) but one
-# batch still fits the measurement budget; quadratic ones already take
-# about 1 ms per call at 1024, far above it.
+# batch still fits the measurement budget; quadratic ones take about
+# 0.3-0.6 ms per call at 1024 and 1-2 ms at 2048, against their own
+# per-call floor of about 0.1 ms.
 LINEAR_SIZES = (16384, 32768, 65536)
 QUADRATIC_SIZES = (1024, 2048, 4096)
 # Length of the floor signal: a 4-sample Gaussian segment repeated, so

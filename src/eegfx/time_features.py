@@ -8,11 +8,13 @@ conventions: natural log throughout, 0*ln(0) := 0, Chebyshev distance for
 template matching, and match tolerance is inclusive (distance <= r counts).
 
 ApEn and SampEn share one template-match count (``template_entropies``).
-It sorts the templates by their first sample, so only pairs whose first
-samples lie within r of each other are ever compared (Manis, Aktaruzzaman
-& Sassi, "Low computational cost for sample entropy", Entropy 20(1):61,
-2018). Every candidate is then checked with the same per-sample test,
-|x[i+k] - x[j+k]| <= r, so the counts are exact, not approximate.
+The samples within r of a sample form one run of the sorted samples, so
+each sample's matches are one packed bitset, the difference of two prefix
+bitsets over the sort order. A template's matches are the AND of its
+samples' bitsets, each shifted back by the sample's offset, and its count
+is their popcount: Theta(N^2 / 64) word operations whatever the data.
+Every pair is judged by the same per-sample test, |x[i+k] - x[j+k]| <= r,
+so the counts are exact, not approximate.
 
 FuzzEn and DistEn share one pair engine (``_pair_distances``): the
 Chebyshev distance of every unordered pair of mean-removed windows,
@@ -60,15 +62,12 @@ __all__ = [
 # ops without holding all N^2 / 2 pair distances at once.
 _BLOCK_ROWS = 128
 
-# Candidate pairs checked per chunk in template matching. Peak memory stays
-# at a few MB even when nearly every pair is a candidate (tie-heavy input),
-# and chunks this small stay in cache.
-_PAIR_BUDGET = 1 << 14
-
-# Widening of the first-sample search window, relative to max|x| + r. The
-# rounding in x + r and in |x[i] - x[j]| is within 2 eps of that, so no
-# pair the exact check accepts falls outside the window.
-_WINDOW_SLACK = 8.0 * np.finfo(np.float64).eps
+# Words of one match-bitset block (its samples times its words) in template
+# matching. Wider signals are counted a column block of words at a time, so
+# memory is O(N x block) even when nearly every pair matches (tie-heavy
+# input), and a block of 1024-sample bitsets stays in cache.
+_BLOCK_WORDS = 1 << 15
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit b of a word
 
 
 def _as_signal(x, min_len: int, name: str = "x") -> np.ndarray:
@@ -291,57 +290,98 @@ def _template_args(x, m: int, r: float | None) -> tuple[np.ndarray, float]:
     return a, r
 
 
+def _run_ends(xs: np.ndarray, r: float) -> np.ndarray:
+    """For each sorted sample xs[k], the end of its run: the number of
+    samples y with fl(y - xs[k]) <= r.
+
+    Rounding is monotone, so these samples are a prefix of the sort order.
+    A search for fl(xs[k] + r) lands within a few ulp of the end; each
+    correction then steps over one whole run of tied values, checking the
+    exact predicate, until the end is exact.
+    """
+    ends = np.searchsorted(xs, xs + r, side="right")  # >= k + 1, as r > 0
+    above = np.append(xs, np.inf)
+    while (short := np.flatnonzero(above[ends] - xs <= r)).size:
+        ends[short] = np.searchsorted(xs, xs[ends[short]], side="right")
+    while (long := np.flatnonzero(xs[ends - 1] - xs > r)).size:
+        ends[long] = np.searchsorted(xs, xs[ends[long] - 1], side="left")
+    return ends
+
+
+def _sample_match_words(
+    rank: np.ndarray, lo: np.ndarray, hi: np.ndarray, first: int, cols: int, pad: int
+) -> np.ndarray:
+    """Words first .. first + cols - 1 of every sample's match bitset, word
+    major and flat (word w of sample u at ``w * N + u``), then ``pad`` zero
+    words.
+
+    Sample v is bit v % 64 of word v // 64. Sample u's bitset marks the
+    samples of rank lo[u] .. hi[u] - 1: P[hi[u]] ^ P[lo[u]], where the
+    prefix bitset P[k] marks the samples of rank < k.
+    """
+    size = rank.size
+    prefix = np.zeros((size + 1, cols), dtype=np.uint64)
+    ranks = rank[64 * first : 64 * (first + cols)]  # samples of these words
+    offset = np.arange(ranks.size)
+    prefix[ranks + 1, offset >> 6] = _BITS[offset & 63]
+    np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+    rows = np.take(prefix, hi, axis=0)
+    rows ^= np.take(prefix, lo, axis=0)
+    words = np.zeros(cols * size + pad, dtype=np.uint64)
+    words[: cols * size].reshape(cols, size)[...] = rows.T
+    return words
+
+
 def _template_match_counts(
     a: np.ndarray, m: int, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-template Chebyshev match counts (d <= r, self included) at
-    lengths m and m+1, from one pass over candidate pairs.
+    lengths m and m+1, from packed match bitsets.
 
-    Templates of length m are sorted by their first sample. A pair can
-    match only if its first samples differ by at most r, so each sorted
-    template is compared with the templates after it up to first + r
-    (widened by ``_WINDOW_SLACK``); each unordered pair is visited once.
-    Every candidate is checked with |x[i+k] - x[j+k]| <= r for k < m, as a
-    full pairwise Chebyshev comparison would, and a match is credited to
-    both templates. The first N - m templates extend to length m+1, and an
-    m-matched pair of them matches at m+1 iff coordinate m is within r.
-    Candidates are taken in chunks of about ``_PAIR_BUDGET`` pairs, so
-    memory stays bounded while the O(N^2) worst case (ties) remains.
+    The samples within r of a sample are one run of the sorted samples, and
+    its match bitset marks them (``_sample_match_words``). Template j
+    matches template i at length m iff bit j of S[i+k] >> k is set in the
+    bitset S of every sample i+k, k < m, and at m+1 iff also for k = m; the
+    counts are popcounts. The words are taken a column block of about
+    ``_BLOCK_WORDS / N`` at a time, with the m // 64 + 1 words after it
+    that the shifts read.
     ``a`` must be finite, so that every template matches itself.
     """
-    n = a.size - m + 1
-    order = np.argsort(a[:n])
-    # coords[k] is sample k of each template, in sorted order; the NaN past
-    # the end fails every check, as the last template has no sample m
-    coords = np.append(a, np.nan)[order + np.arange(m + 1)[:, None]]
-    first = coords[0]
-    reach = r + _WINDOW_SLACK * (max(-first[0], first[-1]) + r)
-    stop = np.searchsorted(first, first + reach, side="right")
-    width = stop - np.arange(1, n + 1)  # row p's candidates are p+1 .. stop[p]-1
-    ends = np.cumsum(width)  # candidate pairs are numbered row by row
-    shift = stop - ends  # candidate t of row p is template t + shift[p]
-    sorted_m = np.ones(n, dtype=np.int64)  # self-matches
-    sorted_m1 = np.ones(n, dtype=np.int64)
-    lo = 0
-    while lo < n:
-        done = int(ends[lo - 1]) if lo else 0
-        hi = max(int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")), lo + 1)
-        w = width[lo:hi]
-        p = np.repeat(np.arange(lo, hi), w)
-        q = np.arange(done, int(ends[hi - 1])) + np.repeat(shift[lo:hi], w)
-        ok = np.abs(first[p] - first[q]) <= r
-        for c in coords[1:m]:
-            ok &= np.abs(c[p] - c[q]) <= r
-        p, q = p[ok], q[ok]
-        sorted_m += np.bincount(p, minlength=n) + np.bincount(q, minlength=n)
-        ok = np.abs(coords[m][p] - coords[m][q]) <= r
-        sorted_m1 += np.bincount(p[ok], minlength=n) + np.bincount(q[ok], minlength=n)
-        lo = hi
-    counts_m = np.empty_like(sorted_m)
-    counts_m[order] = sorted_m
-    counts_m1 = np.empty_like(sorted_m1)
-    counts_m1[order] = sorted_m1
-    return counts_m, counts_m1[:-1]
+    size = a.size
+    n = size - m + 1
+    order = np.argsort(a)
+    hi_sorted = _run_ends(a[order], r)
+    # the match relation is symmetric: rank k's run starts after every run
+    # that ends at or before k
+    lo_sorted = np.cumsum(np.bincount(hi_sorted, minlength=size)[:size])
+    rank = np.empty(size, dtype=np.intp)
+    rank[order] = np.arange(size)
+    lo, hi = lo_sorted[rank], hi_sorted[rank]
+    n_words = -(-size // 64)
+    width = min(n_words, max(1, _BLOCK_WORDS // size))
+    counts_m = np.zeros(n, dtype=np.int64)
+    counts_m1 = np.zeros(n - 1, dtype=np.int64)
+    for first in range(0, n_words, width):
+        block = min(width, n_words - first)
+        # flat, so that a shift by k samples and q words is one contiguous
+        # offset, k + q * N; m spare words keep the last offset in range.
+        # An offset row runs into the next word's row only at samples past
+        # the last template it counts for.
+        matches = _sample_match_words(rank, lo, hi, first, block + m // 64 + 1, m)
+        span = block * size
+        longer = matches[:span]  # bit j of row i: templates i, j match at length 1
+        for k in range(1, m + 1):
+            q, s = divmod(k, 64)
+            start = q * size + k
+            sample_k = matches[start : start + span] >> s  # bit j: x[j+k] near x[i+k]
+            if s:
+                sample_k |= matches[start + size : start + size + span] << (64 - s)
+            sample_k &= longer
+            shorter, longer = longer, sample_k
+        for counts, bits in ((counts_m, shorter), (counts_m1, longer)):
+            per_row = np.bitwise_count(bits).reshape(block, size).sum(axis=0, dtype=np.int64)
+            counts += per_row[: counts.size]
+    return counts_m, counts_m1
 
 
 def _phi(counts: np.ndarray) -> float:

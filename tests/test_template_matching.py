@@ -1,10 +1,11 @@
 """Template-match counting behind ApEn and SampEn, and the memory of the
 pair engine behind FuzzEn and DistEn.
 
-The sorted-candidate counter must give exactly the per-template counts of
-a brute-force pairwise Chebyshev comparison, on signal families chosen to
+The bit-parallel counter must give exactly the per-template counts of a
+brute-force pairwise Chebyshev comparison, on signal families chosen to
 stress ties, heavy tails, differences landing exactly on r and rounding
-at a large offset.
+at a large offset, and at lengths and template sizes next to the edges of
+its 64-bit words and of its column blocks.
 """
 
 import math
@@ -16,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from eegfx import time_features
 from eegfx.time_features import (
+    _BLOCK_WORDS,
     _template_match_counts,
     approximate_entropy,
     distribution_entropy,
@@ -80,8 +83,9 @@ def _integer_r1(rng, n):
 
 
 def _rounding_edge(rng, n):
-    # fl(v + r) < y while fl(|y - v|) == r: the pair matches, and only the
-    # widened search window finds it
+    # fl(v + r) < y while fl(|y - v|) == r: the pair matches, though a
+    # search for fl(v + r) ends v's run before y; only the exact check of
+    # the run's end takes y in
     v, r = -0.0010414656301016882, 0.0008969982709389136
     y = np.nextafter(v + r, np.inf)
     assert abs(y - v) <= r
@@ -113,11 +117,48 @@ def _assert_exact(m, x, r):
     assert np.array_equal(counts_m1, brute_counts(x, m + 1, r))
 
 
+def _first_block_edge():
+    """The shortest signal whose bitsets take two column blocks of words."""
+    return next(n for n in range(64, 1 << 20) if -(-n // 64) > _BLOCK_WORDS // n)
+
+
+BLOCK_EDGE = _first_block_edge()
+# lengths next to a word edge and next to the first column-block edge
+EDGE_SIZES = (63, 65, 127, 128, 129, BLOCK_EDGE - 1, BLOCK_EDGE, BLOCK_EDGE + 1)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("m", (1, 2, 3))
-@pytest.mark.parametrize("size", ("m+2", 64, 1024, 2048))
+@pytest.mark.parametrize("size", ("m+2", 64, 1024, 2048, *EDGE_SIZES))
 def test_counts_equal_brute_force(family, m, size):
     n = m + 2 if size == "m+2" else size
+    _assert_exact(m, *_signal(family, n, seed=n + m))
+
+
+# shifts by m - 1 and m samples that end inside, on or past a word's last bit
+WIDE_CASES = [
+    (m, size)
+    for m in (63, 64, 65, 130)
+    for size in ("m+2", 127, 128, 129, 255, 256, 257)
+    if size == "m+2" or size >= m + 2
+]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize(("m", "size"), WIDE_CASES)
+def test_counts_equal_brute_force_when_shifts_cross_words(family, m, size):
+    n = m + 2 if size == "m+2" else size
+    _assert_exact(m, *_signal(family, n, seed=n + m))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("m", (1, 2, 63, 64, 65, 130))
+@pytest.mark.parametrize("block", (1, 2))
+def test_counts_equal_brute_force_in_narrow_blocks(monkeypatch, family, m, block):
+    # blocks of one or two words, so every halo of m // 64 + 1 words reaches
+    # into the next block, or past the last word
+    n = 257
+    monkeypatch.setattr(time_features, "_BLOCK_WORDS", block * n)
     _assert_exact(m, *_signal(family, n, seed=n + m))
 
 
@@ -162,8 +203,9 @@ def test_invalid_input_raises():
 
 
 def test_peak_allocation_is_bounded_on_tie_heavy_input():
-    # About 4.2M of the 8.4M unordered pairs of a two-level signal are
-    # candidates; held at once their indices alone would take 67 MB.
+    # About half of the 16.8M ordered pairs of a two-level signal match; the
+    # prefix bitsets of all 4096 samples alone would take 2.1 MB, so the
+    # counter must hold one column block of words at a time.
     x = np.random.default_rng(3).integers(0, 2, 4096).astype(np.float64)
     tracemalloc.start()
     try:
