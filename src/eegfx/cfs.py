@@ -27,13 +27,14 @@ __all__ = [
     "symmetric_correlation",
     "merit",
     "forward_search",
+    "DEFAULT_BINS",
 ]
 
-_DEFAULT_BINS = 10
+DEFAULT_BINS = 10  # equal-frequency bins per feature
 _BLOCK_CELLS = 1 << 17  # int64 cells per kernel block, about 1 MB
 
 
-def discretize(values, n_bins: int = _DEFAULT_BINS) -> np.ndarray:
+def discretize(values, n_bins: int = DEFAULT_BINS) -> np.ndarray:
     """Equal-frequency int64 bin codes by rank; ties share the lower bin.
 
     A sample's code is floor(rank * n_bins / N) where rank is the
@@ -177,7 +178,7 @@ class MeritTrace:
 def forward_search(
     table: FeatureTable,
     max_size: int,
-    n_bins: int = _DEFAULT_BINS,
+    n_bins: int = DEFAULT_BINS,
 ) -> MeritTrace:
     """Greedy forward selection over the table's feature columns.
 

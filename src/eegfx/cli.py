@@ -41,7 +41,6 @@ def _load_config(args) -> RunConfig:
     overrides = {
         "features": getattr(args, "features", None),
         "wavelet": getattr(args, "wavelet", None),
-        "levels": getattr(args, "levels", None),
         "width_s": getattr(args, "width", None),
         "stride_s": getattr(args, "stride", None),
         "threads": getattr(args, "threads", None),
@@ -227,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="feature-table CSV to write")
     p.add_argument("--features", help="comma-separated base feature names")
     p.add_argument("--wavelet", help="wavelet id (d4, d8)")
-    p.add_argument("--levels", type=int, help="decomposition levels")
     p.add_argument("--width", type=float, help="epoch width, seconds")
     p.add_argument("--stride", type=float, help="epoch stride, seconds")
     p.add_argument("--threads", type=int, help="extraction worker threads")

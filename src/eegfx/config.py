@@ -1,8 +1,9 @@
 """Run configuration: one JSON file, overridable by CLI flags.
 
 Defaults follow the evaluation protocol this library reproduces: 4 s
-epochs at 1 s stride, tap-4 Daubechies with 5 levels, 16-channel
-bipolar montage, 4.5% significance threshold.
+epochs at 1 s stride, tap-4 Daubechies, 16-channel bipolar montage;
+the KDE grid, CFS bins and threshold are the library functions' own
+defaults.  The DWT depth is fixed in :mod:`eegfx.wavelets`, not here.
 """
 
 from __future__ import annotations
@@ -11,16 +12,19 @@ import dataclasses
 import json
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
+from .cfs import DEFAULT_BINS
+from .evaluation import GRID_POINTS, SIGNIFICANCE_THRESHOLD
 from .signals import DEFAULT_MONTAGE, Montage
-from .wavelets import WAVELETS
+from .wavelets import LEVELS, WAVELETS
 
 __all__ = ["RunConfig"]
 
 # Integer fields and their smallest allowed value.
-_COUNTS = {"levels": 1, "kde_grid": 16, "cfs_bins": 2, "cfs_max_size": 1, "threads": 1}
+_COUNTS = {"kde_grid": 16, "cfs_bins": 2, "cfs_max_size": 1, "threads": 1}
 # Real fields, and whether 0 is allowed.
 _REALS = {"width_s": False, "stride_s": False, "threshold": True}
 
@@ -31,19 +35,20 @@ class RunConfig:
 
     ``features`` lists base feature names (hemisphere suffixes are
     added during extraction); None selects the full default catalog.
+    ``levels`` is a read-only constant, ``wavelets.LEVELS``, not a field.
     """
 
     width_s: float = 4.0
     stride_s: float = 1.0
     wavelet: str = "d4"
-    levels: int = 5
     features: tuple[str, ...] | None = None
     montage: Montage = DEFAULT_MONTAGE
-    kde_grid: int = 4096
-    cfs_bins: int = 10
+    kde_grid: int = GRID_POINTS
+    cfs_bins: int = DEFAULT_BINS
     cfs_max_size: int = 10
-    threshold: float = 4.5
+    threshold: float = SIGNIFICANCE_THRESHOLD
     threads: int = 1
+    levels: ClassVar[int] = LEVELS
 
     def __post_init__(self) -> None:
         if self.features is not None:

@@ -212,35 +212,36 @@ def read_edf(path: str | Path) -> Record:
         raise ValueError(f"mixed sampling rates unsupported: {sorted(rates)} Hz")
     fs = rates.pop()
 
+    spr = header.signals[0].samples_per_record  # the same for all: one rate
     record_len = header.samples_per_record
     expected = 2 * record_len * header.n_records
-    payload = path.read_bytes()[header.header_bytes :]
-    if len(payload) < expected:
+    size = path.stat().st_size - header.header_bytes
+    if size < expected:
         raise ValueError(
             f"truncated EDF file: {header.n_records} records of "
-            f"{record_len} samples need {expected} bytes, got {len(payload)}"
+            f"{record_len} samples need {expected} bytes, got {size}"
         )
-    if len(payload) > expected:
+    if size > expected:
         raise ValueError(
-            f"inconsistent record sizes: {len(payload) - expected} bytes "
+            f"inconsistent record sizes: {size - expected} bytes "
             f"beyond {header.n_records} declared records"
         )
 
-    digital = np.frombuffer(payload, dtype="<i2").reshape(
-        header.n_records, record_len
-    )
-    rows = []
-    offset = 0
-    for sig in header.signals:
-        codes = digital[:, offset : offset + sig.samples_per_record].reshape(-1)
-        physical = (codes.astype(np.float64) - sig.digital_min) * sig.gain + sig.physical_min
+    digital = np.fromfile(path, dtype="<i2", offset=header.header_bytes)
+    digital = digital.reshape(header.n_records, header.n_signals, spr)
+    data = np.empty((header.n_signals, header.n_records * spr))
+    rows = data.reshape(header.n_signals, header.n_records, spr)  # a view
+    for row, codes, sig in zip(rows, digital.transpose(1, 0, 2), header.signals):
+        row[...] = codes
+        row -= sig.digital_min
+        row *= sig.gain
+        row += sig.physical_min
         # digital_max is physical_max by definition; the formula can round
         # past it, and a re-write would then reject the sample
-        rows.append(np.where(codes == sig.digital_max, sig.physical_max, physical))
-        offset += sig.samples_per_record
+        row[codes == sig.digital_max] = sig.physical_max
     return Record(
         channels=tuple(s.label for s in header.signals),
-        data=np.vstack(rows),
+        data=data,
         fs=fs,
         annotations=(),
         name=path.stem,

@@ -32,11 +32,12 @@ __all__ = [
     "significance_csv",
     "epoch_metrics",
     "SIGNIFICANCE_THRESHOLD",
+    "GRID_POINTS",
 ]
 
 SIGNIFICANCE_THRESHOLD = 4.5  # improvement-rate percent
 
-_GRID_POINTS = 4096
+GRID_POINTS = 4096  # Bayes-error integration grid
 _GRID_MARGIN_BANDWIDTHS = 4.0
 _BINS_PER_BANDWIDTH = 8  # binning lattice step <= h/8
 _KERNEL_BANDWIDTHS = 8.0  # kernel truncated at +-8h
@@ -99,7 +100,7 @@ class KdeModel:
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "_support", tuple(support))
 
-    def evaluation_grid(self, n_points: int = _GRID_POINTS) -> np.ndarray:
+    def evaluation_grid(self, n_points: int = GRID_POINTS) -> np.ndarray:
         """Uniform grid spanning the pooled samples plus 4 bandwidths."""
         return np.linspace(*self._grid_ends(n_points), n_points)
 
@@ -111,7 +112,7 @@ class KdeModel:
         hi = max(hi for _, hi in self._support) + margin
         return lo, hi
 
-    def density(self, class_index: int, n_points: int = _GRID_POINTS) -> np.ndarray:
+    def density(self, class_index: int, n_points: int = GRID_POINTS) -> np.ndarray:
         """Gaussian-kernel density of one class on ``evaluation_grid(n_points)``.
 
         Linearly binned KDE (Silverman, AS 176, 1982; Wand, 1994).  The
@@ -191,7 +192,7 @@ def fit_kde(
     )
 
 
-def bayes_error(model: KdeModel, n_grid: int = _GRID_POINTS) -> float:
+def bayes_error(model: KdeModel, n_grid: int = GRID_POINTS) -> float:
     """Minimum achievable misclassification probability of the model.
 
     Integrates min_i P(C_i) p(x|C_i) with the trapezoid rule over the
@@ -243,7 +244,7 @@ def feature_significance(
     feature: str,
     hemisphere: str = "",
     threshold: float = SIGNIFICANCE_THRESHOLD,
-    n_grid: int = _GRID_POINTS,
+    n_grid: int = GRID_POINTS,
 ) -> SignificanceReport:
     """Score one feature column of a labeled table.
 

@@ -55,17 +55,11 @@ from .freq_features import (
     welch,
 )
 from .signals import EpochLabel, Montage, Record, label_epoch, window_counts
-from .wavelets import dwt, subband_features
+from .wavelets import BAND_FEATURES, LEVELS, dwt, subband_features
 
 __all__ = ["DEFAULT_FEATURES", "FEATURE_CATALOG", "extract"]
 
 log = logging.getLogger("eegfx")
-
-_BAND_NAMES = ("D1", "D2", "D3", "D4", "D5", "A5")
-_BAND_FEATURES = (
-    "Mean", "AbsMean", "Variance", "Skewness", "Kurtosis",
-    "Min", "Max", "Energy", "LineLength",
-)
 
 # The default catalog mirrors the evaluated feature set: 17 time-domain
 # and 5 frequency-domain features, plus 9 statistics per wavelet band.
@@ -74,7 +68,7 @@ DEFAULT_FEATURES: tuple[str, ...] = (
     "Energy", "NE", "LineLength", "ShEn", "ApEn", "SampEn",
     "LocalExtrema", "ZeroCrossing", "Mobility", "Complexity",
     "IWMF", "IWBW", "SE", "PeakAmplitude", "PeakFrequency",
-) + tuple(f"{feat}{band}" for band in _BAND_NAMES for feat in _BAND_FEATURES)
+) + BAND_FEATURES
 
 
 def _peak(psd: Psd) -> tuple[np.ndarray, np.ndarray]:
@@ -84,33 +78,26 @@ def _peak(psd: Psd) -> tuple[np.ndarray, np.ndarray]:
     return peak_hz, padded[np.arange(peak_hz.size), np.searchsorted(psd.freqs, peak_hz)]
 
 
-def _each(fn: Callable[[np.ndarray], Any], rows: np.ndarray) -> list:
-    """fn of every row of an epoch matrix; None where fn raises ValueError."""
-    values = []
-    for row in rows:
+def _by_row(fn: Callable[[np.ndarray], Any], rows: np.ndarray, width: int = 1) -> np.ndarray:
+    """fn of each epoch-matrix row as ``width`` float columns, NaN where fn raises ValueError."""
+    out = np.full((len(rows), width), math.nan)
+    for i, row in enumerate(rows):
         try:
-            values.append(fn(row))
+            out[i] = fn(row)
         except ValueError:
-            values.append(None)
-    return values
-
-
-def _column(get: Callable[[Any], float] = float, fn: Callable | None = None):
-    """Reader of get(value) per row, NaN where undefined; with fn, value = fn(row)."""
-    return lambda values: np.array(
-        [math.nan if v is None else get(v) for v in (_each(fn, values) if fn else values)]
-    )
+            pass
+    return out
 
 
 # Made in this order from a channel's epoch matrix ("samples"), fs, config and the
 # sources before them; Welch and the DWT fail only on the epoch width, so go first.
 _BATCH_SOURCES: dict[str, Callable[[dict], Any]] = {
     "psd": lambda s: welch(s["samples"], s["fs"]),
-    "bands": lambda s: subband_features(dwt(s["samples"], s["config"].wavelet, s["config"].levels)),
+    "bands": lambda s: subband_features(dwt(s["samples"], s["config"].wavelet, LEVELS)),
     "moments": lambda s: tf.moments(s["samples"]),
     "summary": lambda s: tf.stat_summary(s["samples"]),
     "hjorth": lambda s: tf.hjorth(s["samples"]),
-    "template": lambda s: _each(tf.template_entropies, s["samples"]),
+    "template": lambda s: _by_row(tf.template_entropies, s["samples"], width=2),
     "peak": lambda s: _peak(s["psd"]),
 }
 
@@ -134,7 +121,7 @@ _REGISTRY: dict[str, tuple[str, Callable[[Any], np.ndarray]]] = {
     "RMS": ("samples", tf.rms),
     "AveragePower": ("samples", tf.average_power),
     **{
-        name: ("samples", _column(fn=fn))
+        name: ("samples", lambda rows, fn=fn: _by_row(fn, rows))
         for name, fn in (
             ("PE", tf.permutation_entropy), ("WPE", tf.weighted_permutation_entropy),
             ("FuzzyEn", tf.fuzzy_entropy),
@@ -145,8 +132,8 @@ _REGISTRY: dict[str, tuple[str, Callable[[Any], np.ndarray]]] = {
     },
     "Mobility": ("hjorth", itemgetter(1)),
     "Complexity": ("hjorth", itemgetter(2)),
-    "ApEn": ("template", _column(itemgetter(0))),
-    "SampEn": ("template", _column(itemgetter(1))),
+    "ApEn": ("template", itemgetter(np.s_[:, 0])),
+    "SampEn": ("template", itemgetter(np.s_[:, 1])),
     "IWMF": ("psd", iwmf),
     "IWBW": ("psd", iwbw),
     "SE": ("psd", spectral_entropy),
@@ -155,11 +142,7 @@ _REGISTRY: dict[str, tuple[str, Callable[[Any], np.ndarray]]] = {
     "SEF95": ("psd", partial(sef, alpha=95.0)),
     "PeakFrequency": ("peak", itemgetter(0)),
     "PeakAmplitude": ("peak", itemgetter(1)),
-    **{
-        f"{feat}{band}": ("bands", itemgetter(f"{feat}{band}"))
-        for band in _BAND_NAMES
-        for feat in _BAND_FEATURES
-    },
+    **{name: ("bands", itemgetter(name)) for name in BAND_FEATURES},
 }
 
 FEATURE_CATALOG: frozenset = frozenset(_REGISTRY)

@@ -26,6 +26,8 @@ import numpy as np
 from eegfx.time_features import energy, line_length, moments
 
 __all__ = [
+    "BAND_FEATURES",
+    "LEVELS",
     "WaveletDecomposition",
     "dwt",
     "idwt",
@@ -55,6 +57,19 @@ WAVELETS: Mapping[str, tuple[float, ...]] = {
         -0.010597401784997278,
     ),
 }
+
+
+def _band_names(levels: int) -> tuple[str, ...]:
+    return tuple(f"D{k}" for k in range(1, levels + 1)) + (f"A{levels}",)
+
+
+# The band layout the feature catalog reads: the subband_features keys of
+# a LEVELS-deep decomposition, statistics in _STATISTICS order per band.
+LEVELS = 5
+_STATISTICS = (
+    "Mean", "AbsMean", "Variance", "Skewness", "Kurtosis", "Min", "Max", "Energy", "LineLength"
+)
+BAND_FEATURES = tuple(f"{stat}{band}" for band in _band_names(LEVELS) for stat in _STATISTICS)
 
 
 def _filter_bank(wavelet_id: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -106,7 +121,7 @@ class WaveletDecomposition:
 
     @property
     def band_names(self) -> tuple[str, ...]:
-        return tuple(f"D{k}" for k in range(1, self.levels + 1)) + (f"A{self.levels}",)
+        return _band_names(self.levels)
 
     def band(self, name: str) -> np.ndarray:
         for label, coeffs in zip(self.band_names, (*self.details, self.approx)):
@@ -162,7 +177,7 @@ def _samples_of(signal) -> np.ndarray:
     return a
 
 
-def dwt(signal, wavelet: str = "d4", levels: int = 5) -> WaveletDecomposition:
+def dwt(signal, wavelet: str = "d4", levels: int = LEVELS) -> WaveletDecomposition:
     """Decompose a sample vector or each matrix row into ``levels`` bands.
 
     Requires at least 2**levels samples so the deepest band is nonempty.
@@ -212,17 +227,10 @@ def subband_features(decomp: WaveletDecomposition) -> dict[str, float]:
         if coeffs.shape[-1] < 2:
             raise ValueError(f"band {band_name} has {coeffs.shape[-1]} coefficient(s), need >= 2")
         mean, var, _, skew, kurt = moments(coeffs)
-        values = {
-            "Mean": mean,
-            "AbsMean": np.abs(coeffs).mean(axis=-1),
-            "Variance": var,
-            "Skewness": skew,
-            "Kurtosis": kurt,
-            "Min": coeffs.min(axis=-1),
-            "Max": coeffs.max(axis=-1),
-            "Energy": energy(coeffs),
-            "LineLength": line_length(coeffs),
-        }
-        for feature_name, value in values.items():
-            out[f"{feature_name}{band_name}"] = value if coeffs.ndim == 2 else float(value)
+        values = (
+            mean, np.abs(coeffs).mean(axis=-1), var, skew, kurt,
+            coeffs.min(axis=-1), coeffs.max(axis=-1), energy(coeffs), line_length(coeffs),
+        )
+        for stat, value in zip(_STATISTICS, values, strict=True):
+            out[f"{stat}{band_name}"] = value if coeffs.ndim == 2 else float(value)
     return out

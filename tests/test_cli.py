@@ -116,6 +116,17 @@ class TestExtract:
         assert "Banana" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_levels_flag_is_a_usage_error(self, workspace, tmp_path, capsys):
+        # the DWT depth is fixed; argparse refuses the flag before extract runs
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("extract", "--input", workspace / "rec.edf", "--out", out, "--levels", 4)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --levels 4" in err
+        assert "MeanD5" not in err
+        assert not out.exists()
+
     def test_missing_input(self, tmp_path, capsys):
         assert run("extract", "--input", tmp_path / "nope.edf",
                    "--out", tmp_path / "t.csv") == 1

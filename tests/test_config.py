@@ -1,9 +1,12 @@
 """Run configuration parsing, defaults, validation, and overrides."""
 
+import dataclasses
+
 import pytest
 
 from eegfx.config import RunConfig
 from eegfx.signals import DEFAULT_MONTAGE, Montage
+from eegfx.wavelets import LEVELS
 
 
 class TestDefaults:
@@ -35,9 +38,8 @@ class TestJson:
         assert RunConfig.from_json(cfg.to_json()) == cfg
 
     def test_partial_file_keeps_defaults(self):
-        cfg = RunConfig.from_json('{"width_s": 8.0, "levels": 3}')
+        cfg = RunConfig.from_json('{"width_s": 8.0}')
         assert cfg.width_s == 8.0
-        assert cfg.levels == 3
         assert cfg.stride_s == 1.0
         assert cfg.wavelet == "d4"
 
@@ -61,6 +63,12 @@ class TestJson:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_json('{"epoch_width": 4.0}')
+
+    def test_levels_is_not_a_key(self):
+        # the DWT depth is fixed by eegfx.wavelets, so a file cannot set it
+        assert "levels" not in RunConfig().to_json()
+        with pytest.raises(ValueError, match=r"unknown config keys \['levels'\]"):
+            RunConfig.from_json('{"levels": 5}')
 
     def test_invalid_json_rejected(self):
         with pytest.raises(ValueError, match="not valid JSON"):
@@ -108,9 +116,9 @@ class TestJson:
             RunConfig.from_json(body)
 
     def test_integral_counts_are_stored_as_int(self):
-        cfg = RunConfig.from_json('{"kde_grid": 1024.0, "levels": 3.0}')
-        assert (cfg.kde_grid, cfg.levels) == (1024, 3)
-        assert isinstance(cfg.kde_grid, int) and isinstance(cfg.levels, int)
+        cfg = RunConfig.from_json('{"kde_grid": 1024.0}')
+        assert cfg.kde_grid == 1024
+        assert isinstance(cfg.kde_grid, int)
 
 
 class TestValidation:
@@ -120,19 +128,27 @@ class TestValidation:
             (dict(width_s=0.0), "width"),
             (dict(stride_s=-1.0), "stride"),
             (dict(wavelet="sym5"), "unknown wavelet"),
-            (dict(levels=0), "levels"),
-            (dict(levels=2.5), "levels"),
+            (dict(threshold=-1.0), "threshold"),
+            (dict(threads=0), "threads"),
             (dict(features=()), "at least one"),
             (dict(kde_grid=4), "grid"),
             (dict(cfs_bins=1), "bins"),
             (dict(cfs_max_size=0), "cfs_max_size"),
-            (dict(threshold=-1.0), "threshold"),
-            (dict(threads=0), "threads"),
         ],
     )
     def test_rejects(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             RunConfig(**kwargs)
+
+    def test_levels_is_a_constant_not_a_field(self):
+        cfg = RunConfig()
+        assert cfg.levels == RunConfig.levels == LEVELS == 5
+        with pytest.raises(TypeError, match="levels"):
+            RunConfig(levels=4)
+        with pytest.raises(TypeError, match="levels"):
+            cfg.replace(levels=4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.levels = 4
 
 
 class TestReplace:

@@ -1,5 +1,8 @@
 """EDF reader/writer: calibration math, round trips, header diagnostics."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -65,6 +68,31 @@ class TestWriteRead:
         second = read_edf(g)
         assert np.array_equal(first.data, second.data)
         assert f.read_bytes() == g.read_bytes()
+
+    def test_read_decodes_in_one_pass(self, tmp_path):
+        # 16 channels interleaved in one-second records; the decode holds the
+        # int16 payload and the float64 samples, not per-signal copies of both
+        channels = tuple(f"C{k}" for k in range(16))
+        record = _random_record(seed=5, channels=channels, fs=256.0, seconds=120)
+        data = record.data.copy()
+        data[:, 7] = 1000.0  # the range top, so these samples decode at digital_max
+        f = tmp_path / "a.edf"
+        header = write_edf(dataclasses.replace(record, data=data), f)
+        tracemalloc.start()
+        try:
+            loaded = read_edf(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * loaded.data.nbytes
+        codes = np.frombuffer(f.read_bytes()[header.header_bytes :], dtype="<i2")
+        codes = codes.reshape(header.n_records, len(channels), -1)
+        for k, sig in enumerate(header.signals):
+            c = codes[:, k].reshape(-1)
+            want = (c.astype(np.float64) - sig.digital_min) * sig.gain + sig.physical_min
+            want = np.where(c == sig.digital_max, sig.physical_max, want)
+            assert np.array_equal(loaded.data[k], want)
+            assert loaded.data[k, 7] == sig.physical_max == 1000.0
 
     def test_default_range_encloses_data_with_integer_bounds(self, tmp_path):
         record = _random_record(seed=11)

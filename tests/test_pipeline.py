@@ -47,6 +47,14 @@ class TestShape:
         assert len(DEFAULT_FEATURES) == 76
         assert set(DEFAULT_FEATURES) <= FEATURE_CATALOG
 
+    def test_band_features_are_the_decomposition_keys_in_order(self):
+        # the catalog's last 54 names are what subband_features returns at
+        # the default depth, so the two cannot drift apart
+        x = np.random.default_rng(3).standard_normal(1024)
+        bands = tuple(subband_features(dwt(x)))
+        assert len(bands) == 54
+        assert DEFAULT_FEATURES[-len(bands):] == bands
+
     def test_columns_pair_left_right_per_feature(self):
         cfg = RunConfig(features=("Energy", "ShEn"), montage=_PAIR)
         table = extract(_record(), cfg)
@@ -344,15 +352,15 @@ class TestDeterminism:
 class TestExecutionStyle:
     def test_only_the_template_counter_runs_row_by_row(self, monkeypatch):
         # Every default source but ApEn/SampEn runs down the epoch matrix;
-        # _each, the per-row loop, sees the template counter and nothing else.
+        # _by_row, the per-row loop, sees the template counter and nothing else.
         seen = []
-        each = pipeline._each
+        by_row = pipeline._by_row
 
-        def spy(fn, rows):
+        def spy(fn, rows, width=1):
             seen.append(fn)
-            return each(fn, rows)
+            return by_row(fn, rows, width)
 
-        monkeypatch.setattr(pipeline, "_each", spy)
+        monkeypatch.setattr(pipeline, "_by_row", spy)
         table = extract(_record(seconds=8), RunConfig(montage=_PAIR))
         assert len(table.feature_names) == 2 * len(DEFAULT_FEATURES)
         assert seen and set(seen) == {tf.template_entropies}
