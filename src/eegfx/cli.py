@@ -228,7 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wavelet", help="wavelet id (d4, d8)")
     p.add_argument("--width", type=float, help="epoch width, seconds")
     p.add_argument("--stride", type=float, help="epoch stride, seconds")
-    p.add_argument("--threads", type=int, help="extraction worker threads")
+    p.add_argument("--threads", type=int,
+                   help="worker threads over blocks of epoch-channel rows")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("evaluate", help="feature table -> significance CSV")

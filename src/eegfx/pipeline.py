@@ -6,11 +6,15 @@ base feature becomes two columns, ``<Name>L`` and ``<Name>R``.  Rows
 are epochs in time order, labeled seizure when annotations cover more
 than half the window.
 
-Each channel is cut into one zero-copy (n_epochs, width) matrix of its
-epochs.  One registry maps each base feature name to a ``(source,
-reader)`` pair.  A source is computed down the whole matrix, at most
-once per channel and only when a requested feature reads it: the
-matrix, its moments, ``stat_summary``, Hjorth parameters, Welch PSD,
+Each channel is cut into a zero-copy (n_epochs, width) matrix of its
+epochs.  The epoch-channel rows, in montage order, are computed in
+blocks of at most ``_BLOCK_SAMPLES`` samples: channels that fit are
+stacked whole into one block, and a longer channel is cut into row
+slices of its own matrix, so the block, not the record, bounds the
+working memory.  One registry maps each base feature name to a
+``(source, reader)`` pair.  A source is computed down the whole block,
+at most once per block and only when a requested feature reads it: the
+block, its moments, ``stat_summary``, Hjorth parameters, Welch PSD,
 dominant peaks or DWT band table.  Only the ApEn/SampEn counts and the
 entropy and fractal features outside the default catalog (PE, WPE,
 FuzzyEn, DistEn, SVDEn, HFD, BCFD, HE, DFA) still run row by row.  A
@@ -89,7 +93,7 @@ def _by_row(fn: Callable[[np.ndarray], Any], rows: np.ndarray, width: int = 1) -
     return out
 
 
-# Made in this order from a channel's epoch matrix ("samples"), fs, config and the
+# Made in this order from a block of epoch rows ("samples"), fs, config and the
 # sources before them; Welch and the DWT fail only on the epoch width, so go first.
 _BATCH_SOURCES: dict[str, Callable[[dict], Any]] = {
     "psd": lambda s: welch(s["samples"], s["fs"]),
@@ -147,6 +151,26 @@ _REGISTRY: dict[str, tuple[str, Callable[[Any], np.ndarray]]] = {
 
 FEATURE_CATALOG: frozenset = frozenset(_REGISTRY)
 
+# Samples per block of epoch-channel rows (1 MiB of float64): enough rows
+# that one source call's fixed cost is small, few enough to stay in cache.
+_BLOCK_SAMPLES = 1 << 17
+
+
+def _blocks(n_channels: int, n_epochs: int, width: int) -> list[tuple[range, slice]]:
+    """Montage-ordered (channels, epoch rows) blocks of at most the sample budget.
+
+    Channels whose epochs fit are stacked whole, in blocks of even size;
+    a longer channel is its own run of blocks, each a row slice of it.
+    """
+    budget = max(1, _BLOCK_SAMPLES // width)
+    per_block = max(1, budget // n_epochs)
+    n_groups = -(-n_channels // per_block)
+    n_cuts = -(-n_epochs // budget)
+    groups = [range(n_channels * i // n_groups, n_channels * (i + 1) // n_groups)
+              for i in range(n_groups)]
+    cuts = [slice(n_epochs * i // n_cuts, n_epochs * (i + 1) // n_cuts) for i in range(n_cuts)]
+    return [(group, rows) for group in groups for rows in cuts]
+
 
 def _montage_in_record(record: Record, montage: Montage) -> Montage:
     """Restrict a montage to the record's channels, logging what differs."""
@@ -172,8 +196,9 @@ def extract(record: Record, config: RunConfig | None = None) -> FeatureTable:
     """Run the feature pipeline over one record.
 
     Columns follow the configured base-feature order, left then right
-    per feature.  Channels fan out across ``config.threads`` workers;
-    assembly order is fixed, so output is identical at any thread count.
+    per feature.  Row blocks fan out across ``config.threads`` workers;
+    each side is summed in montage order, so output is identical at any
+    thread count and block layout.
     """
     config = config or RunConfig()
     names = tuple(config.features) if config.features is not None else DEFAULT_FEATURES
@@ -197,33 +222,38 @@ def extract(record: Record, config: RunConfig | None = None) -> FeatureTable:
     readers = [_REGISTRY[name] for name in names]
     needed = {source for source, _ in readers}
     needed |= {"psd"} if "peak" in needed else set()
+    epochs = [sliding_window_view(record.channel_data(c), width)[::stride] for c in channels]
 
-    def worker(channel: str) -> np.ndarray:
-        rows = sliding_window_view(record.channel_data(channel), width)[::stride]
-        sources = {"samples": rows, "fs": record.fs, "config": config}
+    def worker(block: tuple[range, slice]) -> np.ndarray:
+        group, rows = block
+        pieces = [epochs[c][rows] for c in group]
+        samples = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        sources = {"samples": samples, "fs": record.fs, "config": config}
         for source, make in _BATCH_SOURCES.items():
             if source in needed:
                 sources[source] = make(sources)
         return np.column_stack([read(sources[source]) for source, read in readers])
 
-    if config.threads == 1:
-        per_channel = {c: worker(c) for c in channels}
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            per_channel = dict(zip(channels, pool.map(worker, channels)))
+    # Each side's channels are summed in montage order, one block at a time.
+    sides = (len(montage.left), len(montage.right))
+    total = np.zeros((2, n_epochs, len(names)))
+    finite = np.ones((2, n_epochs, len(names)), dtype=bool)
+    blocks = _blocks(len(channels), n_epochs, width)
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:  # no thread until a submit
+        results = pool.map(worker, blocks) if config.threads > 1 else map(worker, blocks)
+        for (group, rows), result in zip(blocks, results):
+            for c, piece in zip(group, np.split(result, len(group))):
+                k = int(c >= sides[0])
+                total[k, rows] += piece
+                finite[k, rows] &= np.isfinite(piece)
 
     starts = np.arange(n_epochs) * stride / record.fs
     seizure = [label_epoch((s, s + width / record.fs), record.annotations) for s in starts]
     labels = np.array([label is EpochLabel.SEIZURE for label in seizure], dtype=np.int64)
 
     values = np.empty((n_epochs, 2 * len(names)))
-    for k, side in enumerate((montage.left, montage.right)):
-        total = np.zeros((n_epochs, len(names)))
-        finite = np.ones((n_epochs, len(names)), dtype=bool)
-        for channel in side:  # summed in montage order
-            total += per_channel[channel]
-            finite &= np.isfinite(per_channel[channel])
-        values[:, k::2] = np.where(finite, total / len(side), math.nan)
+    for k in range(2):
+        values[:, k::2] = np.where(finite[k], total[k] / sides[k], math.nan)
 
     feature_names = tuple(
         f"{name}{side}" for name in names for side in ("L", "R")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,33 @@ class TestDeterminism:
         pooled = serial.replace(threads=3)
         assert extract(record, serial).to_csv() == extract(record, pooled).to_csv()
 
+    def test_block_layout_does_not_change_output(self, monkeypatch):
+        # Five channels of 5 epochs at width 512, one of them flat so the
+        # full catalog has NaN cells: one channel per block, channels
+        # stacked in a few blocks, channels cut into row slices, one block.
+        record = _record(seconds=8, fs=128.0, channels=("A", "B", "C", "D", "E"))
+        data = record.data.copy()
+        data[1] = 0.0
+        record = dataclasses.replace(record, data=data)
+        cfg = RunConfig(features=tuple(sorted(FEATURE_CATALOG)),
+                        montage=Montage(left=("A", "B", "C"), right=("D", "E")))
+        layouts = []
+        blocks = pipeline._blocks
+
+        def spy(*args):
+            layouts.append(blocks(*args))
+            return layouts[-1]
+
+        monkeypatch.setattr(pipeline, "_blocks", spy)
+        outputs = []
+        for rows, threads in ((5, 1), (10, 1), (2, 1), (2, 3), (1 << 10, 1)):
+            monkeypatch.setattr(pipeline, "_BLOCK_SAMPLES", rows * 512)
+            table = extract(record, cfg.replace(threads=threads))
+            outputs.append(table.to_csv())
+        assert [len(layout) for layout in layouts] == [5, 3, 15, 15, 1]
+        assert np.isnan(table.values).any()
+        assert all(out == outputs[0] for out in outputs)
+
     def test_csv_round_trip_preserves_table(self, tmp_path):
         cfg = RunConfig(features=("Mean", "Energy"), montage=_PAIR)
         table = extract(_record(seconds=8), cfg)
@@ -364,3 +392,54 @@ class TestExecutionStyle:
         table = extract(_record(seconds=8), RunConfig(montage=_PAIR))
         assert len(table.feature_names) == 2 * len(DEFAULT_FEATURES)
         assert seen and set(seen) == {tf.template_entropies}
+
+    def test_one_welch_call_per_block_not_per_channel(self, monkeypatch):
+        calls = []
+        welch = pipeline.welch
+
+        def spy(rows, fs):
+            calls.append(rows.shape)
+            return welch(rows, fs)
+
+        monkeypatch.setattr(pipeline, "welch", spy)
+        record = synth_record(SynthSpec(duration_s=12.0, seed=0))
+        extract(record, RunConfig(features=("IWMF",)))
+        assert len(record.channels) == 16
+        assert 1 <= len(calls) <= 2
+        assert sum(n for n, _ in calls) == 16 * 9
+
+    def test_channel_longer_than_the_budget_is_not_copied(self, monkeypatch):
+        # At 4 rows per block, each 17-epoch channel is five row slices of
+        # its own epoch matrix, each a view of the record's samples.
+        seen = []
+        welch = pipeline.welch
+
+        def spy(rows, fs):
+            seen.append(rows)
+            return welch(rows, fs)
+
+        monkeypatch.setattr(pipeline, "welch", spy)
+        monkeypatch.setattr(pipeline, "_BLOCK_SAMPLES", 4 * 1024)
+        record = _record(seconds=20)
+        extract(record, RunConfig(features=("IWMF",), montage=_PAIR))
+        assert len(seen) == 10 and sum(map(len, seen)) == 2 * 17
+        assert max(map(len, seen)) <= 4
+        assert all(np.shares_memory(rows, record.data) for rows in seen)
+
+
+class TestMemory:
+    def test_the_block_budget_bounds_the_peak(self):
+        # At 48 s two channels' 45 epochs share a block; at 192 s each
+        # channel's 189 epochs are cut into row slices.
+        extract(synth_record(SynthSpec(duration_s=8.0, seed=0)), RunConfig())  # warm caches
+        peaks = []
+        for seconds in (48.0, 192.0):
+            record = synth_record(SynthSpec(duration_s=seconds, seed=1))
+            tracemalloc.start()
+            try:
+                extract(record, RunConfig())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 6 * 2**20
+        assert peaks[1] <= peaks[0] + 2**20
