@@ -16,9 +16,9 @@ from eegfx import (
     bayes_error,
     err0,
     extract,
-    feature_significance,
     fit_kde,
     forward_search,
+    rank_features,
     synth_record,
 )
 
@@ -37,8 +37,10 @@ print(f"baseline err0(4677, 263424) = {err0(4677, 263424):.4f}")
 # %% [markdown]
 # ## Significance on an extracted table
 #
-# Amplitude-family features dominate the ranking; a distribution-shape
-# feature like skewness trails far behind.
+# `rank_features` scores every column the way `eegfx evaluate` does:
+# best rate first, ties by column name, and any column it cannot score
+# set aside with the reason.  Amplitude-family features dominate the
+# ranking; a distribution-shape feature like skewness trails far behind.
 
 # %%
 spec = SynthSpec(
@@ -53,14 +55,13 @@ config = RunConfig(
     features=("Variance", "Energy", "NE", "Skewness", "SampEn"),
 )
 table = extract(synth_record(spec), config)
-reports = [
-    feature_significance(table, feature, "L")
-    for feature in config.features
-]
-for r in sorted(reports, key=lambda r: r.rate, reverse=True):
+reports, skipped = rank_features(table)
+for r in reports:
     flag = "significant" if r.significant else "not significant"
-    print(f"{r.feature_id:8s}L err_b = {r.err_b:.4f}, "
+    print(f"{r.feature_id + r.hemisphere:9s} err_b = {r.err_b:.4f}, "
           f"rate = {r.rate:6.1f}%  ({flag})")
+for reason in skipped.values():
+    print(f"skipped {reason}")
 
 # %% [markdown]
 # ## Forward selection

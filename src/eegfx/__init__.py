@@ -7,7 +7,8 @@ Subpackage map:
   the shared ``moments`` kernel
 - :mod:`eegfx.freq_features` — Welch PSD and spectral features
 - :mod:`eegfx.wavelets` — DWT cascade and sub-band features
-- :mod:`eegfx.evaluation` — KDE Bayes error, significance, epoch detection metrics
+- :mod:`eegfx.evaluation` — KDE Bayes error, significance, feature ranking,
+  epoch detection metrics
 - :mod:`eegfx.cfs` — correlation-based feature selection
 - :mod:`eegfx.edf`, :mod:`eegfx.annotations`, :mod:`eegfx.synth` — I/O & synthesis
 - :mod:`eegfx.pipeline` — record -> feature table extraction through one

@@ -7,7 +7,8 @@ with a single ``bincount``.  Entropies sum their counts sorted and in
 sequence, so an SU does not depend on argument order, unused code values
 or the other rows of the call.  Greedy forward selection scores subsets
 by Hall's merit, keeping its sums as running totals: one kernel call per
-pick.
+pick.  ``select_features`` runs that search over the columns
+``discretize`` accepts and names each column it skips with the reason.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "symmetric_correlation",
     "merit",
     "forward_search",
+    "select_features",
     "DEFAULT_BINS",
 ]
 
@@ -186,15 +188,56 @@ def forward_search(
     merit; ties fall to the higher feature-class correlation and then
     to feature-name order.
     """
-    names = table.feature_names
-    if not 1 <= max_size <= len(names):
-        raise ValueError(f"max_size {max_size} not in [1, {len(names)}]")
+    n_columns = len(table.feature_names)
+    if not 1 <= max_size <= n_columns:
+        raise ValueError(f"max_size {max_size} not in [1, {n_columns}]")
+    names, codes, skipped = _discretized(table, n_bins)
+    if skipped:
+        raise ValueError(next(iter(skipped.values())))
+    return _greedy(table, names, codes, max_size)
+
+
+def select_features(
+    table: FeatureTable,
+    max_size: int,
+    n_bins: int = DEFAULT_BINS,
+) -> tuple[MeritTrace, dict[str, str]]:
+    """``forward_search`` over the columns ``discretize`` accepts: (trace, skipped).
+
+    ``skipped`` maps each refused column (a non-finite cell) to the
+    refusal's message, and the search picks at most ``max_size`` of the
+    columns left.  A table with no column left is refused.
+    """
+    names, codes, skipped = _discretized(table, n_bins)
+    if not names:
+        reasons = "".join(f"; skipped {reason}" for reason in skipped.values())
+        raise ValueError(f"no feature column to select from{reasons}")
+    return _greedy(table, names, codes, min(max_size, len(names))), skipped
+
+
+def _discretized(
+    table: FeatureTable, n_bins: int
+) -> tuple[tuple[str, ...], np.ndarray, dict[str, str]]:
+    """(names, codes, skipped): rank codes of the columns ``discretize`` accepts."""
+    codes = np.empty((len(table.feature_names), len(table)), dtype=np.int64)
+    names: list[str] = []
+    skipped: dict[str, str] = {}
+    for name in table.feature_names:
+        try:
+            codes[len(names)] = discretize(table.column(name), n_bins)
+            names.append(name)
+        except ValueError as exc:
+            skipped[name] = f"feature {name}: {exc}"
+    return tuple(names), codes[: len(names)], skipped
+
+
+def _greedy(
+    table: FeatureTable, names: tuple[str, ...], codes: np.ndarray, max_size: int
+) -> MeritTrace:
+    """The forward search over one row of ``codes`` per name."""
     n_seizure, n_normal = table.class_counts()
     if n_seizure == 0 or n_normal == 0:
         raise ValueError("both classes must be present for selection")
-    codes = np.empty((len(names), len(table)), dtype=np.int64)
-    for row, name in zip(codes, names):
-        row[:] = discretize(table.column(name), n_bins)
     r_fc = _su_rows(codes, table.labels)
     r_ff = np.zeros(len(names))  # each column's summed SU with the members
     sum_fc = sum_ff = 0.0

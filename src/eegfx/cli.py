@@ -2,7 +2,10 @@
 
 Every command exits 0 on success and 1 with a diagnostic on stderr on
 failure, removing any partially written outputs.  Options shared with
-the config file (``--config``) override its values.
+the config file (``--config``) override its values.  ``evaluate`` and
+``select`` are one library call each (``rank_features``,
+``select_features``), which own the skip and ranking rules; the commands
+print each skipped column's reason on stderr.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .annotations import read_annotations, write_annotations
 from .bench import (
     LINEAR_SIZES,
@@ -25,10 +26,10 @@ from .bench import (
     bench_csv,
     run_bench,
 )
-from .cfs import forward_search
+from .cfs import select_features
 from .config import RunConfig
 from .edf import read_edf, write_edf
-from .evaluation import err0, feature_significance, significance_csv
+from .evaluation import err0, rank_features, significance_csv
 from .feature_table import FeatureTable
 from .pipeline import extract
 from .synth import SynthSpec, synth_record
@@ -76,44 +77,15 @@ def cmd_extract(args, created: list[Path]) -> None:
     )
 
 
-def _split_column(name: str) -> tuple[str, str]:
-    if len(name) > 1 and name[-1] in ("L", "R"):
-        return name[:-1], name[-1]
-    return name, ""
-
-
 def cmd_evaluate(args, created: list[Path]) -> None:
     config = _load_config(args)
     table = FeatureTable.read_csv(args.input)
-    n_seizure, n_normal = table.class_counts()
-    if n_seizure == 0 or n_normal == 0:
-        raise ValueError(
-            f"table needs both classes, has {n_seizure} seizure "
-            f"and {n_normal} normal epochs"
-        )
-    print(f"err_0 = {err0(n_seizure, n_normal):.4f}")
-
-    finite = np.isfinite(table.values).all(axis=0)
-    skipped = [c for c, ok in zip(table.feature_names, finite) if not ok]
-    reports = [
-        feature_significance(
-            table,
-            *_split_column(column),
-            threshold=config.threshold,
-            n_grid=config.kde_grid,
-        )
-        for column, ok in zip(table.feature_names, finite)
-        if ok
-    ]
-    if skipped:
-        print(
-            f"skipping {len(skipped)} column(s) with undefined values: "
-            + ", ".join(skipped),
-            file=sys.stderr,
-        )
+    reports, skipped = rank_features(table, config.threshold, config.kde_grid)
+    print(f"err_0 = {err0(*table.class_counts()):.4f}")
+    for reason in skipped.values():
+        print(f"skipping {reason}", file=sys.stderr)
     if not reports:
-        raise ValueError("no finite feature columns to evaluate")
-    reports.sort(key=lambda r: (-r.rate, f"{r.feature_id}{r.hemisphere}"))
+        raise ValueError("no feature column could be scored")
     _write_text(Path(args.out), significance_csv(reports), created)
     significant = sum(1 for r in reports if r.significant)
     print(
@@ -125,8 +97,9 @@ def cmd_evaluate(args, created: list[Path]) -> None:
 def cmd_select(args, created: list[Path]) -> None:
     config = _load_config(args)
     table = FeatureTable.read_csv(args.input)
-    max_size = min(config.cfs_max_size, len(table.feature_names))
-    trace = forward_search(table, max_size=max_size, n_bins=config.cfs_bins)
+    trace, skipped = select_features(table, config.cfs_max_size, config.cfs_bins)
+    for reason in skipped.values():
+        print(f"skipping {reason}", file=sys.stderr)
     out = Path(args.out)
     _write_text(out, trace.to_csv(), created)
     best_path = out.with_suffix(".json")

@@ -7,6 +7,11 @@ rather than the O(grid x N) of a direct sum.  The two-class Bayes error
 is integrated with the trapezoid rule on a fixed grid, and a feature's
 worth is the percentage improvement of that error over the
 always-predict-majority baseline.
+
+``rank_features`` holds the table-wide rules that ``eegfx evaluate``
+applies: it scores every column, skips each column that
+``feature_significance`` refuses with that refusal as the reason, and
+ranks the rest by falling rate, ties by column name.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "err0",
     "improvement_rate",
     "feature_significance",
+    "rank_features",
     "significance_csv",
     "epoch_metrics",
     "SIGNIFICANCE_THRESHOLD",
@@ -42,6 +48,7 @@ _GRID_MARGIN_BANDWIDTHS = 4.0
 _BINS_PER_BANDWIDTH = 8  # binning lattice step <= h/8
 _KERNEL_BANDWIDTHS = 8.0  # kernel truncated at +-8h
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_MAGNITUDES = (2.0**-500, 2.0**500)  # a column's largest |value| fitted as is
 
 
 def _fast_len(n: int) -> int:
@@ -175,7 +182,9 @@ def fit_kde(
     samples = tuple(np.asarray(v, dtype=np.float64).ravel() for v in class_values)
     if min(s.size for s in samples) < 2:
         raise ValueError("each class needs at least 2 samples")
-    with np.errstate(invalid="ignore"):  # an infinite sample gives sigma = nan
+    # an infinite sample gives sigma = nan and a huge one sigma = inf; the
+    # model refuses either as a bandwidth
+    with np.errstate(invalid="ignore", over="ignore"):
         sigmas = [float(s.std(ddof=1)) for s in samples]
     bandwidths = [1.06 * sigma * s.size ** (-1.0 / 5.0) for s, sigma in zip(samples, sigmas)]
     if not all(sigma > 0.0 for sigma in sigmas):
@@ -254,7 +263,7 @@ def feature_significance(
     """
     column = f"{feature}{hemisphere}"
     try:
-        model = fit_kde(table.class_values(column))
+        model = _fit_column(table.class_values(column))
     except ValueError as exc:
         raise ValueError(f"feature {column}: {exc}") from None
     err_0 = err0(*table.class_counts())
@@ -268,6 +277,63 @@ def feature_significance(
         rate=rate,
         significant=rate > threshold,
     )
+
+
+def _fit_column(classes: tuple[np.ndarray, np.ndarray]) -> KdeModel:
+    """``fit_kde``, at an exact power-of-two scale when needed.
+
+    A column whose largest magnitude lies outside [2^-500, 2^500] is fitted
+    again with both classes scaled by a power of two that brings it into
+    [0.5, 1).  The scale is exact and the Bayes error does not depend on
+    it, while the bandwidths, grid and density normalization stay clear of
+    underflow and overflow.  A column inside the window is fitted once, and
+    the model's support gives its magnitude.
+    """
+    try:
+        model = fit_kde(classes)
+        (lo0, hi0), (lo1, hi1) = model._support
+        magnitude = max(-lo0, hi0, -lo1, hi1)
+    except ValueError:
+        magnitude = max(float(np.max(np.abs(c))) for c in classes)  # NaN if any is
+        if not _out_of_window(magnitude):
+            raise
+    if _out_of_window(magnitude):
+        exponent = math.frexp(magnitude)[1]
+        return fit_kde([np.ldexp(c, -exponent) for c in classes])
+    return model
+
+
+def _out_of_window(magnitude: float) -> bool:
+    low, high = _MAGNITUDES
+    return 0.0 < magnitude < math.inf and not low <= magnitude <= high
+
+
+def rank_features(
+    table: FeatureTable,
+    threshold: float = SIGNIFICANCE_THRESHOLD,
+    n_grid: int = GRID_POINTS,
+) -> tuple[list[SignificanceReport], dict[str, str]]:
+    """Score every column of a labeled table: (ranked reports, skipped).
+
+    Reports rank by falling improvement rate, ties by column name; a
+    ``<feature>L`` or ``<feature>R`` column is reported with that
+    hemisphere.  ``skipped`` maps each column ``feature_significance``
+    refuses to its message.  A class under 2 epochs raises first.
+    """
+    n_seizure, n_normal = table.class_counts()
+    if min(n_seizure, n_normal) < 2:
+        raise ValueError(f"table needs both classes with at least 2 epochs each, "
+                         f"has {n_seizure} seizure and {n_normal} normal epochs")
+    reports, skipped = [], {}
+    for column in table.feature_names:
+        side = column[-1] if len(column) > 1 and column[-1] in ("L", "R") else ""
+        feature = column[: len(column) - len(side)]
+        try:
+            reports.append(feature_significance(table, feature, side, threshold, n_grid))
+        except ValueError as exc:
+            skipped[column] = str(exc)
+    reports.sort(key=lambda r: (-r.rate, f"{r.feature_id}{r.hemisphere}"))
+    return reports, skipped
 
 
 def significance_csv(reports: Sequence[SignificanceReport]) -> str:

@@ -82,8 +82,6 @@ def build(root: Path) -> dict[str, Path]:
         outputs[f"extract/{name}.csv"] = table
         _run("evaluate", "--input", table, "--out", root / f"{name}.evaluate.csv")
         outputs[f"evaluate/{name}.csv"] = root / f"{name}.evaluate.csv"
-        if name == "messy95":
-            continue  # select refuses non-finite cells in this version
         _run("select", "--input", table, "--out", root / f"{name}.select.csv")
         outputs[f"select/{name}.csv"] = root / f"{name}.select.csv"
         outputs[f"select/{name}.json"] = root / f"{name}.select.json"

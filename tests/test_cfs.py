@@ -15,6 +15,7 @@ from eegfx.cfs import (
     discretize,
     forward_search,
     merit,
+    select_features,
     symmetric_correlation,
 )
 from eegfx.feature_table import FeatureTable
@@ -247,6 +248,54 @@ def test_greedy_merit_close_to_exhaustive():
                 merit(list(sub), r_fc, r_ff) for sub in itertools.combinations(names, size)
             )
             assert trace.merits[size - 1] >= 0.95 * best
+
+
+def _table_with_holes(rng, n=120):
+    labels = rng.integers(0, 2, size=n)
+    columns = {f"F{i}": rng.standard_normal(n) + i * 0.2 * labels for i in range(6)}
+    columns["F1"][4] = np.nan
+    columns["F4"][9] = np.inf
+    return _table(columns, labels), columns, labels
+
+
+def test_select_features_skips_what_discretize_refuses():
+    rng = np.random.default_rng(21)
+    table, columns, labels = _table_with_holes(rng)
+    trace, skipped = select_features(table, max_size=10)
+    assert skipped == {
+        "F1": "feature F1: values must be finite",
+        "F4": "feature F4: values must be finite",
+    }
+    finite = _table({k: v for k, v in columns.items() if k not in skipped}, labels)
+    assert trace == forward_search(finite, max_size=4)  # the cap counts the 4 left
+
+
+def test_select_features_equals_forward_search_on_a_finite_table():
+    rng = np.random.default_rng(22)
+    labels = rng.integers(0, 2, size=90)
+    table = _table({f"G{i}": rng.standard_normal(90) + (i % 3) * labels for i in range(7)}, labels)
+    for max_size in (1, 3, 7, 50):
+        trace, skipped = select_features(table, max_size=max_size, n_bins=6)
+        assert skipped == {}
+        assert trace == forward_search(table, max_size=min(max_size, 7), n_bins=6)
+
+
+def test_select_features_with_no_usable_column_names_each():
+    labels = np.array([0, 1] * 10)
+    bad = np.arange(20.0)
+    bad[3] = np.nan
+    table = _table({"XL": bad, "XR": bad}, labels)
+    with pytest.raises(ValueError, match="no feature column to select from") as exc:
+        select_features(table, max_size=3)
+    assert "feature XL: values must be finite" in str(exc.value)
+    assert "feature XR: values must be finite" in str(exc.value)
+
+
+def test_forward_search_names_a_non_finite_column():
+    rng = np.random.default_rng(23)
+    table, _, _ = _table_with_holes(rng)
+    with pytest.raises(ValueError, match="feature F1: values must be finite"):
+        forward_search(table, max_size=2)
 
 
 def test_forward_search_guards():

@@ -1,5 +1,6 @@
 """End-to-end tests for the eegfx command line."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -13,6 +14,8 @@ import pytest
 import eegfx
 from eegfx.annotations import read_annotations
 from eegfx.cli import main
+from eegfx.edf import read_edf, write_edf
+from eegfx.evaluation import rank_features
 from eegfx.feature_table import FeatureTable
 
 FAST_FEATURES = "Mean,Variance,Energy,LineLength,IWMF,EnergyD2"
@@ -201,6 +204,82 @@ class TestEvaluate:
                    "--features", "Mean") == 0
         assert run("evaluate", "--input", feats, "--out", tmp_path / "s.csv") == 1
         assert "both classes" in capsys.readouterr().err
+
+
+class TestOneSkipRule:
+    """``evaluate`` and ``select`` skip, name and explain unusable columns."""
+
+    def test_cli_rows_follow_rank_features(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        labels = np.repeat([0, 1], 30)
+        shared = rng.standard_normal(60) + labels
+        broken = rng.standard_normal(60) + labels
+        broken[11] = np.nan
+        columns = {"ZetaR": shared, "HoleL": broken, "AlphaL": shared,
+                   "Noise": rng.standard_normal(60), "AlphaR": shared}
+        table = FeatureTable(records=("r",) * 60, epoch_starts=np.arange(60.0),
+                             labels=labels, feature_names=tuple(columns),
+                             values=np.column_stack(list(columns.values())))
+        src = tmp_path / "ties.csv"
+        table.write_csv(src)
+        out = tmp_path / "sig.csv"
+        assert run("evaluate", "--input", src, "--out", out) == 0
+        err = capsys.readouterr().err
+        assert err == "skipping feature HoleL: class samples have non-finite values\n"
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        reports, skipped = rank_features(FeatureTable.read_csv(src))
+        assert list(skipped) == ["HoleL"]
+        assert [(row[0], row[1]) for row in rows] == [
+            (r.feature_id, r.hemisphere) for r in reports]
+        assert [row[0] + row[1] for row in rows[:3]] == ["AlphaL", "AlphaR", "ZetaR"]
+
+    def test_one_epoch_class_fails_once_with_the_counts(self, workspace, tmp_path, capsys):
+        table = FeatureTable.read_csv(workspace / "feats.csv")
+        labels = np.zeros(len(table), dtype=int)
+        labels[8] = 1
+        src = tmp_path / "lonely.csv"
+        dataclasses.replace(table, labels=labels).write_csv(src)
+        out = tmp_path / "sig.csv"
+        assert run("evaluate", "--input", src, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == ("eegfx evaluate: table needs both classes with at least 2 "
+                       "epochs each, has 1 seizure and 26 normal epochs\n")
+        assert not out.exists()
+
+    def test_flat_channel_record_goes_through_the_chain(self, workspace, tmp_path, capsys):
+        record = read_edf(workspace / "rec.edf")
+        data = record.data.copy()
+        data[record.channels.index("FP1-F7")] = 0.0
+        edf = tmp_path / "flat.edf"
+        write_edf(dataclasses.replace(record, data=data), edf)
+        (tmp_path / "flat.edf.ann").write_text((workspace / "rec.edf.ann").read_text())
+        feats, sig, trace = tmp_path / "f.csv", tmp_path / "s.csv", tmp_path / "t.csv"
+        assert run("extract", "--input", edf, "--out", feats,
+                   "--features", FAST_FEATURES) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--input", feats, "--out", sig) == 0
+        assert capsys.readouterr().err == (
+            "skipping feature IWMFL: class samples have non-finite values\n")
+        assert run("select", "--input", feats, "--out", trace) == 0
+        assert capsys.readouterr().err == "skipping feature IWMFL: values must be finite\n"
+        assert len(sig.read_text().splitlines()) == 1 + 11
+        assert len(trace.read_text().splitlines()) == 1 + 10  # 11 columns left, cap 10
+        assert "IWMFL" not in sig.read_text() + trace.read_text()
+
+    def test_select_with_no_usable_column_fails_named(self, tmp_path, capsys):
+        values = np.arange(20.0)
+        values[2] = np.nan
+        table = FeatureTable(records=("r",) * 20, epoch_starts=np.arange(20.0),
+                             labels=np.array([0, 1] * 10), feature_names=("OnlyL",),
+                             values=values[:, None])
+        src = tmp_path / "hole.csv"
+        table.write_csv(src)
+        out = tmp_path / "trace.csv"
+        assert run("select", "--input", src, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == ("eegfx select: no feature column to select from; "
+                       "skipped feature OnlyL: values must be finite\n")
+        assert list(tmp_path.iterdir()) == [src]
 
 
 class TestSelect:

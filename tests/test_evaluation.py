@@ -14,8 +14,10 @@ from eegfx.evaluation import (
     feature_significance,
     fit_kde,
     improvement_rate,
+    rank_features,
     significance_csv,
 )
+from eegfx import evaluation
 from eegfx.feature_table import FeatureTable
 from oracles import direct_bayes_error, direct_kde_density
 
@@ -252,6 +254,118 @@ def test_significance_rejects_bad_columns():
     nan_table = _labeled_table(np.array([np.nan, 1.0, 2.0]), rng.standard_normal(10))
     with pytest.raises(ValueError, match="feature F: .*non-finite"):
         feature_significance(nan_table, "F")
+
+
+def _scale_pair():
+    # 50 N(0, 1) seizure values against 400 N(1, 1) normal ones
+    rng = np.random.default_rng(0)
+    return rng.normal(0.0, 1.0, 50), rng.normal(1.0, 1.0, 400)
+
+
+def test_err_b_is_invariant_under_power_of_two_scaling():
+    seizure, normal = _scale_pair()
+    unit = feature_significance(_labeled_table(seizure, normal), "F").err_b
+    assert unit == 0.11111108349479876
+    exponents = sorted(set(range(-1000, 1001, 7)) | {-1000, -501, -500, 500, 510, 1000})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = {
+            k: feature_significance(
+                _labeled_table(np.ldexp(seizure, k), np.ldexp(normal, k)), "F"
+            ).err_b
+            for k in exponents
+        }
+    assert {k: v for k, v in scaled.items() if v != unit} == {}
+
+
+def test_decimal_extremes_score_like_unit_scale():
+    # 1e-300 used to fall back to the zero-variance bandwidth (0.0806) and
+    # 1e307 to refuse the bandwidth; a decimal scale rounds each value
+    seizure, normal = _scale_pair()
+    unit = feature_significance(_labeled_table(seizure, normal), "F").err_b
+    for scale in (1e-300, 1e-310, 1e300, 1e307):
+        table = _labeled_table(seizure * scale, normal * scale)
+        assert feature_significance(table, "F").err_b == pytest.approx(unit, rel=1e-9)
+
+
+def test_column_inside_the_magnitude_window_is_fitted_once(monkeypatch):
+    seizure, normal = _scale_pair()
+    calls = []
+
+    def spy(classes, priors=None):
+        calls.append(max(float(np.abs(c).max()) for c in classes))
+        return fit_kde(classes, priors)
+
+    monkeypatch.setattr(evaluation, "fit_kde", spy)
+    for k in (-500, 0, 497):  # the largest |value| is about 4
+        calls.clear()
+        feature_significance(_labeled_table(np.ldexp(seizure, k), np.ldexp(normal, k)), "F")
+        assert len(calls) == 1
+    calls.clear()
+    feature_significance(_labeled_table(np.ldexp(seizure, 600), np.ldexp(normal, 600)), "F")
+    assert len(calls) == 2 and 0.5 <= calls[1] < 1.0
+
+
+def _ranking_table():
+    rng = np.random.default_rng(3)
+    labels = np.repeat([0, 1], 40)
+    shared = rng.standard_normal(80) + labels
+    broken = rng.standard_normal(80)
+    broken[5] = np.nan
+    infinite = rng.standard_normal(80)
+    infinite[7] = np.inf
+    columns = {
+        "BL": shared, "BrokenR": broken, "AL": shared, "Weak": rng.standard_normal(80),
+        "Inf": infinite, "StrongR": rng.standard_normal(80) + 3 * labels,
+    }
+    return FeatureTable(
+        records=("r",) * 80,
+        epoch_starts=np.arange(80.0),
+        labels=labels,
+        feature_names=tuple(columns),
+        values=np.column_stack(list(columns.values())),
+    )
+
+
+def test_rank_features_orders_by_rate_then_column_name():
+    table = _ranking_table()
+    reports, skipped = rank_features(table)
+    assert [f"{r.feature_id}{r.hemisphere}" for r in reports] == ["StrongR", "AL", "BL", "Weak"]
+    assert [(r.feature_id, r.hemisphere) for r in reports[1:3]] == [("A", "L"), ("B", "L")]
+    assert reports[1].rate == reports[2].rate
+    for r in reports:
+        assert r == feature_significance(table, r.feature_id, r.hemisphere)
+
+
+def test_rank_features_skips_with_the_refusal_message():
+    table = _ranking_table()
+    _, skipped = rank_features(table)
+    assert list(skipped) == ["BrokenR", "Inf"]
+    for column, (feature, side) in zip(skipped, (("Broken", "R"), ("Inf", ""))):
+        with pytest.raises(ValueError) as exc:
+            feature_significance(table, feature, side)
+        assert skipped[column] == str(exc.value)
+        assert skipped[column].startswith(f"feature {column}: ")
+
+
+def test_rank_features_passes_threshold_and_grid():
+    table = _ranking_table()
+    reports, _ = rank_features(table, threshold=1000.0, n_grid=512)
+    assert not any(r.significant for r in reports)
+    assert reports[0] == feature_significance(table, "Strong", "R", 1000.0, 512)
+
+
+@pytest.mark.parametrize("n_seizure, n_normal", [(1, 30), (30, 1), (0, 30), (30, 0)])
+def test_rank_features_refuses_a_class_under_two_epochs(n_seizure, n_normal, monkeypatch):
+    rng = np.random.default_rng(17)
+    table = _labeled_table(rng.standard_normal(n_seizure), rng.standard_normal(n_normal), "MeanL")
+    monkeypatch.setattr(evaluation, "feature_significance", None)  # never reached
+    with pytest.raises(ValueError) as exc:
+        rank_features(table)
+    message = str(exc.value)
+    assert "both classes" in message
+    assert f"{n_seizure} seizure and {n_normal} normal epochs" in message
+    assert "MeanL" not in message
 
 
 def test_significance_csv_shape():
