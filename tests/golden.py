@@ -26,6 +26,7 @@ import numpy as np
 
 from eegfx.cli import main
 from eegfx.edf import read_edf, write_edf
+from eegfx.feature_table import FeatureTable
 from eegfx.pipeline import FEATURE_CATALOG
 
 MANIFEST = Path(__file__).with_name("golden_digests.txt")
@@ -51,6 +52,31 @@ def _messy_record(source: Path, out: Path) -> None:
     channels = tuple(record.channels[i] for i in rows)
     write_edf(dataclasses.replace(record, channels=channels, data=data), out)
     Path(f"{out}.ann").write_text(Path(f"{source}.ann").read_text())
+
+
+def _wide_table(path: Path, rows: int = 2048, columns: int = 152, seed: int = 23) -> Path:
+    """A seeded table wide and long enough to span several blocks of the cfs kernels.
+
+    Columns cycle through four shapes: smooth, lognormal, Poisson counts
+    (many ties) and values rounded to 0.1 (ties and signed zeros); the
+    last column is constant.  About one row in ten is a seizure epoch.
+    """
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(rows) < 0.1).astype(int)
+    z = rng.standard_normal((rows, columns)) + 0.25 * (np.arange(columns) % 5) * labels[:, None]
+    values = z.copy()
+    values[:, 1::4] = np.exp(0.8 * z[:, 1::4])
+    values[:, 2::4] = rng.poisson(np.exp(1.0 + 0.4 * z[:, 2::4]))
+    values[:, 3::4] = np.round(0.3 * z[:, 3::4], 1)
+    values[:, -1] = 4.0
+    FeatureTable(
+        records=("wide",) * rows,
+        epoch_starts=np.arange(rows, dtype=float),
+        labels=labels,
+        feature_names=tuple(f"W{j:03d}" for j in range(columns)),
+        values=values,
+    ).write_csv(path)
+    return path
 
 
 def _write_config(path: Path, **fields) -> Path:
@@ -83,6 +109,18 @@ def build(root: Path) -> dict[str, Path]:
         _run("evaluate", "--input", table, "--out", root / f"{name}.evaluate.csv")
         outputs[f"evaluate/{name}.csv"] = root / f"{name}.evaluate.csv"
         _run("select", "--input", table, "--out", root / f"{name}.select.csv")
+        outputs[f"select/{name}.csv"] = root / f"{name}.select.csv"
+        outputs[f"select/{name}.json"] = root / f"{name}.select.json"
+
+    # select alone: more bins than the 9 rows of default.csv, and a table
+    # whose ranks take several blocks
+    bins37 = _write_config(root / "bins37.json", cfs_bins=37)
+    selects = {
+        "default_bins37": (root / "default.csv", ("--config", bins37)),
+        "wide2048": (_wide_table(root / "wide2048.csv"), ()),
+    }
+    for name, (table, extra) in selects.items():
+        _run("select", "--input", table, *extra, "--out", root / f"{name}.select.csv")
         outputs[f"select/{name}.csv"] = root / f"{name}.select.csv"
         outputs[f"select/{name}.json"] = root / f"{name}.select.json"
     return outputs
