@@ -1,14 +1,19 @@
 """Correlation-based feature selection.
 
-Features are discretized by rank into plain int64 codes; correlations
-are symmetrical uncertainty (SU, an entropy ratio in [0, 1]) from one
-row-wise kernel that counts a block of code rows against one code vector
-with a single ``bincount``.  Entropies sum their counts sorted and in
-sequence, so an SU does not depend on argument order, unused code values
-or the other rows of the call.  Greedy forward selection scores subsets
-by Hall's merit, keeping its sums as running totals: one kernel call per
-pick.  ``select_features`` runs that search over the columns
-``discretize`` accepts and names each column it skips with the reason.
+Features are discretized by rank into plain int64 codes by one kernel
+that runs down a block of columns at once: one ``argsort`` per block,
+one ``maximum.accumulate`` for the first rank of each run of equal
+values, and one scatter back through the sort order (``discretize`` is
+its one-column call).  Correlations are symmetrical uncertainty (SU, an
+entropy ratio in [0, 1]) from one row-wise kernel that counts a block of
+code rows against one code vector with a single ``bincount``.  Entropies
+sum their counts sorted and in sequence, so an SU does not depend on
+argument order, unused code values or the other rows of the call.  Both
+kernels bound their blocks by one cell budget.  Greedy forward selection
+scores subsets by Hall's merit, keeping its sums as running totals: one
+kernel call and one vectorised pick per step.  ``select_features`` runs
+that search over the columns ``discretize`` accepts and names each
+column it skips with the reason.
 """
 
 from __future__ import annotations
@@ -42,17 +47,58 @@ def discretize(values, n_bins: int = DEFAULT_BINS) -> np.ndarray:
     A sample's code is floor(rank * n_bins / N) where rank is the
     position of its first occurrence in sort order, so the codes depend
     only on the ordering of the values: any increasing transform of the
-    input yields identical codes.
+    input yields identical codes.  The codes are exact for every n_bins
+    up to the int64 maximum.
     """
     a = np.asarray(values, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("values must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("values must be finite")
+    reason = _refusal(a.ndim == 1 and a.size > 0, bool(np.isfinite(a).all()), n_bins)
+    if reason:
+        raise ValueError(reason)
+    return _rank_codes(a[None, :], np.arange(1), n_bins)[0]
+
+
+def _refusal(nonempty: bool, finite: bool, n_bins: int) -> str | None:
+    """Why ``discretize`` refuses a vector, in the order it checks; None if it accepts."""
+    if not nonempty:
+        return "values must be a nonempty 1-D vector"
+    if not finite:
+        return "values must be finite"
     if n_bins < 2:
-        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
-    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - counts)[inverse] * n_bins // a.size
+        return f"n_bins must be >= 2, got {n_bins}"
+    return None
+
+
+def _rank_codes(matrix: np.ndarray, rows: np.ndarray, n_bins: int) -> np.ndarray:
+    """``discretize`` codes of the given rows of a finite (rows, N) matrix.
+
+    Each block of rows is sorted with one ``argsort`` along the rows; one
+    ``maximum.accumulate`` carries the sorted position of each run's first
+    value across the run, and the codes are scattered back through the
+    sort order.  Blocks hold at most ``_BLOCK_CELLS`` cells (at least one
+    row), so the temporaries stay bounded at any N.
+    """
+    n = matrix.shape[1]
+    quotient, remainder = divmod(int(np.int64(n_bins)), n)  # rank * n_bins // n, no overflow
+    positions = np.arange(n)
+    step = max(1, _BLOCK_CELLS // n)
+    row_starts = np.arange(0, step * n, n)[:, None]
+    out = np.empty(len(rows) * n, dtype=np.int64)
+    for lo in range(0, len(rows), step):
+        block = matrix[rows[lo : lo + step]]
+        order = np.argsort(block, axis=1)
+        order += row_starts[: len(block)]  # flat positions in the block
+        ordered = block.ravel()[order]
+        run_start = np.empty(block.shape, dtype=bool)
+        run_start[:, 0] = True
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_start[:, 1:])
+        rank = np.where(run_start, positions, 0)
+        np.maximum.accumulate(rank, axis=1, out=rank)
+        codes = rank * quotient
+        rank *= remainder
+        rank //= n
+        codes += rank
+        out[lo * n : lo * n + block.size][order] = codes
+    return out.reshape(len(rows), n)
 
 
 def _codes_of(x) -> np.ndarray:
@@ -218,17 +264,25 @@ def select_features(
 def _discretized(
     table: FeatureTable, n_bins: int
 ) -> tuple[tuple[str, ...], np.ndarray, dict[str, str]]:
-    """(names, codes, skipped): rank codes of the columns ``discretize`` accepts."""
-    codes = np.empty((len(table.feature_names), len(table)), dtype=np.int64)
-    names: list[str] = []
+    """(names, codes, skipped): rank codes of the columns ``discretize`` accepts.
+
+    With n_bins >= N rows every rank has its own code, so N bins give
+    the same partition, and the same SUs, from a joint table of N codes
+    instead of n_bins.
+    """
+    values = table.values
+    finite = np.isfinite(values.min(axis=0)) & np.isfinite(values.max(axis=0))  # NaN propagates
+    keep: list[int] = []
     skipped: dict[str, str] = {}
-    for name in table.feature_names:
-        try:
-            codes[len(names)] = discretize(table.column(name), n_bins)
-            names.append(name)
-        except ValueError as exc:
-            skipped[name] = f"feature {name}: {exc}"
-    return tuple(names), codes[: len(names)], skipped
+    for j, (name, ok) in enumerate(zip(table.feature_names, finite)):
+        reason = _refusal(True, bool(ok), n_bins)
+        if reason:
+            skipped[name] = f"feature {name}: {reason}"
+        else:
+            keep.append(j)
+    rows = np.asarray(keep, dtype=np.intp)
+    codes = _rank_codes(values.T, rows, min(n_bins, len(table)))
+    return tuple(table.feature_names[j] for j in keep), codes, skipped
 
 
 def _greedy(
@@ -240,19 +294,31 @@ def _greedy(
         raise ValueError("both classes must be present for selection")
     r_fc = _su_rows(codes, table.labels)
     r_ff = np.zeros(len(names))  # each column's summed SU with the members
+    name_rank = np.empty(len(names), dtype=np.intp)
+    name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
     sum_fc = sum_ff = 0.0
     selected: list[int] = []
     merits: list[float] = []
-    remaining = list(range(len(names)))
+    remaining = np.ones(len(names), dtype=bool)
     while len(selected) < max_size:
         if selected:
             r_ff += _su_rows(codes, codes[selected[-1]])
         scores = (sum_fc + r_fc) / np.sqrt(len(selected) + 1 + 2.0 * (sum_ff + r_ff))
-        best = min(remaining, key=lambda c: (-scores[c], -r_fc[c], names[c]))
+        best = _pick(scores, r_fc, name_rank, remaining)
         selected.append(best)
         merits.append(float(scores[best]))
-        remaining.remove(best)
+        remaining[best] = False
         sum_fc += r_fc[best]
         sum_ff += r_ff[best]
     features = tuple(names[i] for i in selected)
     return MeritTrace(features, tuple(merits))
+
+
+def _pick(scores: np.ndarray, r_fc: np.ndarray, name_rank: np.ndarray, remaining: np.ndarray) -> int:
+    """The remaining candidate first in (-score, -r_fc, name) order."""
+    candidate_scores = np.where(remaining, scores, -np.inf)
+    top = candidate_scores == candidate_scores.max()
+    top_fc = np.where(top, r_fc, -np.inf)
+    top &= top_fc == top_fc.max()
+    candidates = np.flatnonzero(top)
+    return int(candidates[np.argmin(name_rank[candidates])])
