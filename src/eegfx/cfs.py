@@ -81,7 +81,7 @@ def _rank_codes(matrix: np.ndarray, rows: np.ndarray, n_bins: int) -> np.ndarray
     quotient, remainder = divmod(int(np.int64(n_bins)), n)  # rank * n_bins // n, no overflow
     positions = np.arange(n)
     step = max(1, _BLOCK_CELLS // n)
-    row_starts = np.arange(0, step * n, n)[:, None]
+    row_starts = np.arange(0, min(step, len(rows)) * n, n)[:, None]
     out = np.empty(len(rows) * n, dtype=np.int64)
     for lo in range(0, len(rows), step):
         block = matrix[rows[lo : lo + step]]
@@ -93,11 +93,7 @@ def _rank_codes(matrix: np.ndarray, rows: np.ndarray, n_bins: int) -> np.ndarray
         np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run_start[:, 1:])
         rank = np.where(run_start, positions, 0)
         np.maximum.accumulate(rank, axis=1, out=rank)
-        codes = rank * quotient
-        rank *= remainder
-        rank //= n
-        codes += rank
-        out[lo * n : lo * n + block.size][order] = codes
+        out[lo * n : lo * n + block.size][order] = rank * quotient + rank * remainder // n
     return out.reshape(len(rows), n)
 
 
