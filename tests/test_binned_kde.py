@@ -14,11 +14,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eegfx.evaluation import _fast_len, bayes_error, fit_kde
-from oracles import direct_bayes_error, direct_kde_density
+from oracles import (
+    direct_bayes_error,
+    direct_kde_density,
+    sampled_kernel_bayes_error,
+    sampled_kernel_density,
+)
 
 ORACLE_ATOL = 1e-4
 
@@ -95,6 +100,19 @@ def test_coarse_grid_against_bandwidth_matches_direct_sum(ratio_target):
         assert _gap(model) <= ORACLE_ATOL
 
 
+@pytest.mark.parametrize("ratio_target, seed", [(8.0, 0), (8.0, 1), (40.0, 0), (40.0, 1), (40.0, 2)])
+def test_lattice_between_two_grid_points_reads_back_nothing(ratio_target, seed):
+    # The narrow class's lattice (its support +-8h) lies inside one grid
+    # step, so it holds no grid point: the class reads 0 everywhere.
+    # (_coarse_grid_case(8.0, 2) reaches one grid point and is not here.)
+    model = _coarse_grid_case(ratio_target, seed)
+    narrow, h = model.class_samples[0], model.bandwidths[0]
+    grid = model.evaluation_grid()
+    assert not np.any((grid >= narrow.min() - 8 * h) & (grid <= narrow.max() + 8 * h))
+    assert not model.density(0).any()
+    assert bayes_error(model) == 0.0
+
+
 def test_narrow_class_beside_an_outlier_matches_direct_sum():
     # One far outlier stretches the grid to dx ~ 8 h of the 39-row class.
     # Binning at step h/4 missed the direct sum by 1.3e-4 here; at h/8
@@ -155,6 +173,56 @@ def test_binned_bayes_error_tracks_direct_sum(sizes, log_scales, shift, families
         for n, log_scale, family, offset in zip(sizes, log_scales, families, (shift, 0.0))
     ])
     assert _gap(model) <= ORACLE_ATOL
+
+
+# The closed-form kernel transform against the sampled kernel cut at
+# +-8h that it replaced.  The cut drops exp(-32) ~ 1.3e-14 of the peak per
+# kernel and the FFT rounds at about 1e-16 of the largest bin, so the two
+# agree near 1e-14 of the peak; the worst case measured over these
+# columns was 1.7e-13 of err_b.  A misplaced or mis-scaled kernel moves
+# err_b by 1e-6 or more.
+SAMPLED_RTOL = 1e-12
+SAMPLED_ATOL = 1e-15
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.tuples(st.integers(2, 3000), st.integers(2, 3000)),
+    families=st.tuples(st.sampled_from(sorted(SKEWED)), st.sampled_from(sorted(SKEWED))),
+    log_dx_over_h=st.floats(math.log10(0.01), math.log10(40.0)),
+    layout=st.sampled_from(["spread", "flat", "between_grid_points"]),
+    offset=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_kernel_tracks_the_sampled_kernel(
+    sizes, families, log_dx_over_h, layout, offset, seed
+):
+    rng = np.random.default_rng(seed)
+    a = SKEWED[families[0]](rng, sizes[0], 0.0)
+    b = SKEWED[families[1]](rng, sizes[1], 0.8)
+    assume(np.ptp(a) > 0.0 and np.ptp(b) > 0.0)
+    # stretch b so the grid step is about 10**log_dx_over_h bandwidths of a
+    h_a, h_b = (1.06 * x.std(ddof=1) * x.size ** -0.2 for x in (a, b))
+    scale = 10.0**log_dx_over_h * 4095 * h_a / (np.ptp(b) + 8.0 * h_b)
+    b = np.median(a) + scale * (b - np.median(b))
+    if layout == "flat":
+        # zero variance, so the fallback bandwidth; a value of few mantissa
+        # bits keeps the mean exact, and with it a std of exactly 0
+        a = np.full(a.size, np.round(a[0] * 1024.0) / 1024.0)
+        assert a.std(ddof=1) == 0.0
+    elif layout == "between_grid_points":
+        # a class 1e-3 of a grid step wide, off every grid point of b's grid
+        grid = fit_kde((b, b)).evaluation_grid()
+        dx = grid[1] - grid[0]
+        a = grid[2048] + offset * dx + 1e-3 * dx * (a - a.mean()) / a.std()
+    model = fit_kde((a, b))
+    for i in range(2):
+        want = sampled_kernel_density(model, i)
+        assert np.max(np.abs(model.density(i) - want)) <= SAMPLED_RTOL * want.max()
+    if layout == "between_grid_points":
+        assert not model.density(0).any()
+    want = sampled_kernel_bayes_error(model)
+    assert abs(bayes_error(model) - want) <= SAMPLED_RTOL * want + SAMPLED_ATOL
 
 
 @pytest.mark.parametrize("fraction", [1e-6, 1e-9])
