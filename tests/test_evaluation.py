@@ -265,7 +265,7 @@ def _scale_pair():
 def test_err_b_is_invariant_under_power_of_two_scaling():
     seizure, normal = _scale_pair()
     unit = feature_significance(_labeled_table(seizure, normal), "F").err_b
-    assert unit == 0.11111108349479876
+    assert unit == 0.11111108349479884
     exponents = sorted(set(range(-1000, 1001, 7)) | {-1000, -501, -500, 500, 510, 1000})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -304,6 +304,23 @@ def test_column_inside_the_magnitude_window_is_fitted_once(monkeypatch):
     calls.clear()
     feature_significance(_labeled_table(np.ldexp(seizure, 600), np.ldexp(normal, 600)), "F")
     assert len(calls) == 2 and 0.5 <= calls[1] < 1.0
+
+
+class TestExecutionStyle:
+    def test_one_two_row_transform_each_way_per_column(self, monkeypatch):
+        # Both class densities of a column share one rfft and one irfft
+        # over a (2, n_fft) array, not three transforms per class.
+        calls = []
+        for name in ("rfft", "irfft"):
+            def spy(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, spy)
+        seizure, normal = _scale_pair()
+        feature_significance(_labeled_table(seizure, normal), "F")
+        assert [name for name, _ in calls] == ["rfft", "irfft"]
+        assert all(len(shape) == 2 and shape[0] == 2 for _, shape in calls)
 
 
 def _ranking_table():
