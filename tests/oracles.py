@@ -6,9 +6,10 @@ Conventions mirror the documented library contracts: natural log, Chebyshev
 distance, inclusive tolerance (d <= r).  The KDE reference is the exact
 O(grid x N) direct sum, blocked over samples with numpy so it finishes at
 the paper's epoch counts; it shares no code with the library's binned KDE.
-The sampled-kernel KDE is the library's binned KDE as it stood before the
-kernel's transform was taken in closed form, kept to pin the tolerance
-between the two; it shares only the FFT length rule.
+The sampled-kernel KDE bins like the library but convolves each class with
+the kernel sampled on the lattice and cut at +-8h (Wand, 1994), three FFTs
+per class; it pins the library's closed-form kernel transform within a
+stated tolerance and shares only the FFT length rule.
 The CFS reference is the pair-by-pair greedy search: one bincount per
 pair, p @ log p entropies, and every candidate's merit summed afresh.
 The dominant-peak and histogram references work one row at a time, with
@@ -249,10 +250,11 @@ def direct_bayes_error(model, n_grid=4096):
 def sampled_kernel_density(model, class_index, n_points=4096):
     """One class's binned KDE convolved with the sampled kernel cut at +-8h.
 
-    The library's density before its kernel's transform was taken in
-    closed form: three real FFTs per class at the class's own length,
-    with the kernel sampled on the lattice and truncated at +-8h.  It
-    reads the grid and support from the model's public fields.
+    The same lattice, binning and read-back as ``KdeModel.density``, but
+    three real FFTs at the class's own length: the bin weights', the
+    kernel's sampled on the lattice and truncated at +-8h, and the
+    inverse.  It reads the grid and support from the model's public
+    fields.
     """
     samples = model.class_samples[class_index]
     h = model.bandwidths[class_index]

@@ -9,7 +9,7 @@ on grids coarse against a class's bandwidth, on zero-variance classes
 and on classes far narrower than the pooled range.  The second is the
 same binning convolved with the kernel sampled on the lattice and cut at
 +-8h, three FFTs per class; the two must agree to 1e-12 of err_b and of
-each density's peak.
+each density's peak, plus the kernel tail that the cut drops.
 """
 
 import math
@@ -179,8 +179,8 @@ def test_binned_bayes_error_tracks_direct_sum(sizes, log_scales, shift, families
     assert _gap(model) <= ORACLE_ATOL
 
 
-# The closed-form kernel transform against the sampled kernel cut at +-8h
-# that it replaced.  The cut drops each sample's kernel beyond 8h: at most
+# The closed-form kernel transform against the sampled kernel cut at +-8h.
+# The cut drops each sample's kernel beyond 8h: at most
 # PHI8 / h of density at any point, PHI8 = phi(8) = exp(-32) / sqrt(2 pi),
 # and, summed by the trapezoid rule at a grid step dx, at most
 # 2 PHI8 (1 + 2 dx / h) of err_b.  FFT rounding adds about 1e-16 of a
